@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
   const auto scenario = bench::make_bench_scenario(args);
   TraceStore& trace = *scenario.trace;
   trace.set_telemetry_panel_enabled(true);
-  trace.telemetry_panel();  // panel.* counters + build histogram
+  trace.telemetry_panel();  // panel.* gauges + build histogram
   {
     const AnalysisContext ctx(trace);
     analysis_suite(ctx);  // analysis.* counters

@@ -1,4 +1,4 @@
-// Cold-vs-warm pipeline bench: runs the full trace -> panel -> kb plan
+// Cold-vs-warm pipeline bench: runs the full trace -> kb plan
 // twice against the same artifact cache and reports the wall-clock win of
 // the warm path, with a content checksum proving the cached artifacts
 // reproduce fresh generation exactly. Emits BENCH_pipeline.json.
@@ -19,7 +19,7 @@ namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
 /// Deterministic checksum over everything the plan produced: VM records,
-/// the full panel matrix (bit patterns), and the kb CSV.
+/// every VM's telemetry row (bit patterns), and the kb CSV.
 std::string run_checksum(const pipeline::ResolvedRun& run) {
   pipeline::ContentHash h;
   const TraceStore& trace = *run.trace->trace;
@@ -31,13 +31,13 @@ std::string run_checksum(const pipeline::ResolvedRun& run) {
     h.i64(vm.deleted);
     h.f64(vm.cores);
   }
-  const TelemetryPanel* panel = trace.telemetry_panel();
-  if (panel != nullptr) {
-    h.u64(panel->vm_count());
-    for (std::size_t v = 0; v < panel->vm_count(); ++v)
-      for (double sample : panel->row(VmId(static_cast<std::uint32_t>(v))))
-        h.f64(sample);
-  }
+  // Rows go through scratch, not the panel, so hashing them never holds
+  // the whole matrix (the bits are the panel's either way).
+  std::vector<double> scratch;
+  for (const auto& vm : trace.vms())
+    for (double sample : vm_telemetry_row(trace, nullptr, vm.id,
+                                          trace.telemetry_grid(), scratch))
+      h.f64(sample);
   if (run.knowledge != nullptr) h.str(run.knowledge->to_csv());
   return h.hex();
 }

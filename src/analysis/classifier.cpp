@@ -72,8 +72,8 @@ PatternShares classify_population(const AnalysisContext& ctx, CloudType cloud,
   const TraceStore& trace = ctx.trace();
   const ParallelConfig& parallel = ctx.parallel();
   const TimeGrid& grid = trace.telemetry_grid();
-  // Opt into the columnar telemetry cache; built serially here, before the
-  // fan-out, so workers only ever read it.
+  // Opt into the columnar telemetry cache (created serially here; workers
+  // fill the rows they read).
   const TelemetryPanel* panel = trace.telemetry_panel();
 
   const std::vector<VmId> candidates =

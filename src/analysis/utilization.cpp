@@ -20,7 +20,8 @@ UtilizationDistribution utilization_distribution(const AnalysisContext& ctx,
   const TraceStore& trace = ctx.trace();
   const ParallelConfig& parallel = ctx.parallel();
   const TimeGrid& grid = trace.telemetry_grid();
-  // Opt into the columnar telemetry cache (serial warm-up).
+  // Opt into the columnar telemetry cache (created serially; rows fill on
+  // first read).
   const TelemetryPanel* panel = trace.telemetry_panel();
 
   const std::vector<VmId> candidates =
@@ -148,19 +149,19 @@ stats::TimeSeries region_used_cores_hourly(const AnalysisContext& ctx,
 
   // Chunked deterministic reduction: each fixed chunk of the strided
   // population accumulates its own series; partials merge in chunk order,
-  // so the floating-point sum is reproducible at any thread count. Panel
-  // rows are zero outside a VM's life, so the unconditional accumulation
-  // is bit-identical to the old alive-gated one.
+  // so the floating-point sum is reproducible at any thread count. Each VM
+  // adds its alive window only: a row is zero outside it, and skipping a
+  // cores * +0.0 term leaves the sum's bits unchanged, so short-lived VMs
+  // are sampled into scratch instead of filling panel rows.
   used = parallel_reduce<stats::TimeSeries>(
       sampled, stats::TimeSeries(grid),
       [&](stats::TimeSeries& acc, std::size_t k) {
         const auto& vm = trace.vm(candidates[k * stride]);
         std::vector<double> scratch;
-        const std::span<const double> row =
-            vm_telemetry_row(trace, panel, vm.id, grid, scratch);
+        const AliveRow row = vm_alive_row(trace, panel, vm, grid, scratch);
         auto& values = acc.mutable_values();
-        for (std::size_t t = 0; t < grid.count; ++t)
-          values[t] += vm.cores * row[t];
+        for (std::size_t t = 0; t < row.values.size(); ++t)
+          values[row.begin + t] += vm.cores * row.values[t];
       },
       [](stats::TimeSeries& total, const stats::TimeSeries& partial) {
         total.add(partial);

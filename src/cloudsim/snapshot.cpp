@@ -112,7 +112,7 @@ enum Section : std::uint32_t {
   kSubscriptions = 4,
   kModels = 5,
   kVms = 6,
-  kPanel = 7,
+  kPanel = 7,  // retired (matrix cache); ignored on load, never written
   kShardMeta = 8,
   kShardRows = 9,
   kShardHourly = 10,
@@ -319,46 +319,6 @@ std::shared_ptr<const UtilizationModel> decode_model(
   }
 }
 
-std::string encode_panel(const TelemetryPanel& panel) {
-  std::string out;
-  append_grid(out, panel.grid());
-  append_u64(out, panel.vm_count());
-  out.reserve(out.size() + panel.memory_bytes() + 16);
-  for (std::size_t v = 0; v < panel.vm_count(); ++v) {
-    const auto row = panel.row(VmId(static_cast<VmId::underlying>(v)));
-    out.append(reinterpret_cast<const char*>(row.data()), row.size_bytes());
-  }
-  for (std::size_t v = 0; v < panel.vm_count(); ++v) {
-    const auto row = panel.hourly_row(VmId(static_cast<VmId::underlying>(v)));
-    out.append(reinterpret_cast<const char*>(row.data()), row.size_bytes());
-  }
-  return out;
-}
-
-std::unique_ptr<TelemetryPanel> decode_panel(Reader& r) {
-  const TimeGrid grid = read_grid(r);
-  const std::size_t rows = static_cast<std::size_t>(r.u64());
-  // The hourly grid is a pure function of the base grid; recompute its
-  // size the way TelemetryPanel does instead of trusting the payload.
-  std::size_t hourly_count = 0;
-  if (grid.step > 0 && kHour % grid.step == 0 &&
-      grid.count >= static_cast<std::size_t>(kHour / grid.step)) {
-    hourly_count = grid.count / static_cast<std::size_t>(kHour / grid.step);
-  }
-  std::vector<double> data(rows * grid.count);
-  {
-    const std::string_view raw = r.raw(data.size() * sizeof(double));
-    std::memcpy(data.data(), raw.data(), raw.size());
-  }
-  std::vector<double> hourly(rows * hourly_count);
-  {
-    const std::string_view raw = r.raw(hourly.size() * sizeof(double));
-    std::memcpy(hourly.data(), raw.data(), raw.size());
-  }
-  return std::make_unique<TelemetryPanel>(grid, rows, std::move(data),
-                                          std::move(hourly));
-}
-
 /// Writes the container: header, section table, payloads.
 void write_container(
     std::ostream& out,
@@ -449,7 +409,7 @@ struct Container {
 Container read_container(std::istream& in) {
   Container c;
   // Bulk-slurp the stream when it is seekable: istreambuf iterators walk
-  // one char at a time, which on a GB-sized panel section is the
+  // one char at a time, which on a GB-sized snapshot is the
   // difference between tens of seconds and disk speed.
   const std::streampos start = in.tellg();
   if (start != std::streampos(-1) && in.seekg(0, std::ios::end)) {
@@ -534,12 +494,6 @@ void save_trace_snapshot(const Topology& topology, const TraceStore& trace,
   sections.emplace_back(kSubscriptions, encode_subscriptions(trace));
   sections.emplace_back(kModels, std::move(models));
   sections.emplace_back(kVms, std::move(vms));
-  if (options.include_panel) {
-    const TelemetryPanel* panel = trace.telemetry_panel();
-    CL_CHECK_MSG(panel != nullptr,
-                 "snapshot: panel requested but disabled on the trace");
-    sections.emplace_back(kPanel, encode_panel(*panel));
-  }
   write_container(out, sections);
 }
 
@@ -597,12 +551,8 @@ LoadedSnapshot load_trace_sections(const Sections& c,
     }
     trace.add_vm(std::move(rec));
   }
-
-  if (c.has_section(kPanel)) {
-    Reader panel_r(c.section(kPanel));
-    result.panel_loaded =
-        trace.adopt_telemetry_panel(decode_panel(panel_r));
-  }
+  // A PANEL section (written by older versions) is ignored: panel rows
+  // fill on demand from the models, bit-identical to the stored ones.
   return result;
 }
 
@@ -617,27 +567,6 @@ LoadedSnapshot load_trace_snapshot(std::istream& in,
 LoadedSnapshot load_trace_snapshot(const SnapshotMapping& mapping,
                                    const SnapshotModelCodec* codec) {
   return load_trace_sections(mapping, codec);
-}
-
-std::unique_ptr<TelemetryPanel> load_panel_snapshot(
-    const SnapshotMapping& mapping) {
-  Reader panel_r(mapping.section(kPanel));
-  return decode_panel(panel_r);
-}
-
-void save_panel_snapshot(const TelemetryPanel& panel, std::ostream& out) {
-  std::vector<std::pair<std::uint32_t, std::string>> sections;
-  std::string grid;
-  append_grid(grid, panel.grid());
-  sections.emplace_back(kGrid, std::move(grid));
-  sections.emplace_back(kPanel, encode_panel(panel));
-  write_container(out, sections);
-}
-
-std::unique_ptr<TelemetryPanel> load_panel_snapshot(std::istream& in) {
-  const Container c = read_container(in);
-  Reader panel_r(c.section(kPanel));
-  return decode_panel(panel_r);
 }
 
 // --- SnapshotMapping -----------------------------------------------------

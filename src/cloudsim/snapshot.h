@@ -7,9 +7,8 @@
 // trade: a versioned binary columnar container that round-trips the whole
 // in-memory dataset *exactly* — topology, ownership, VM records, the
 // generator's parametric utilization models (by type tag + parameters +
-// seed, so at(t) is bit-identical for every t, not just stored ticks), and
-// optionally the materialized TelemetryPanel matrices — with doubles
-// stored as raw bit patterns, no text round-trip anywhere.
+// seed, so at(t) is bit-identical for every t, not just stored ticks) —
+// with doubles stored as raw bit patterns, no text round-trip anywhere.
 //
 // Container layout (all integers little-endian, fixed width):
 //
@@ -19,10 +18,10 @@
 //
 // Sections (ids in SnapshotSection): GRID (the trace's telemetry grid),
 // TOPOLOGY, SERVICES, SUBSCRIPTIONS, MODELS (deduplicated utilization
-// model table), VMS (records referencing the model table by index), and
-// PANEL (row-major VM x tick matrix plus the hourly companion). A trace
-// snapshot carries all but PANEL by default; a panel snapshot carries only
-// GRID + PANEL. Readers reject bad magic, unknown versions, unknown
+// model table), and VMS (records referencing the model table by index).
+// Id 7 (PANEL) held a materialized telemetry matrix in older files; it is
+// no longer written, and readers skip it, since the models reproduce every
+// row bit for bit. Readers reject bad magic, unknown versions, missing
 // required sections, and any out-of-bounds section or truncated payload
 // with CheckError.
 //
@@ -40,7 +39,6 @@
 #include <utility>
 #include <vector>
 
-#include "cloudsim/telemetry_panel.h"
 #include "cloudsim/trace.h"
 
 namespace cloudlens {
@@ -141,14 +139,11 @@ std::shared_ptr<const UtilizationModel> decode_model_record(
     snapshot_codec::Reader& r, const SnapshotModelCodec* codec);
 
 struct SnapshotWriteOptions {
-  /// Also write the PANEL section. Requires the panel to be enabled on the
-  /// trace; the write materializes it if it has not been built yet.
-  bool include_panel = false;
   /// Codec for non-native utilization models (nullptr = sampled fallback).
   const SnapshotModelCodec* model_codec = nullptr;
 };
 
-/// Serialize topology + trace (+ optionally the telemetry panel).
+/// Serialize topology + trace.
 void save_trace_snapshot(const Topology& topology, const TraceStore& trace,
                          std::ostream& out,
                          const SnapshotWriteOptions& options = {});
@@ -156,9 +151,6 @@ void save_trace_snapshot(const Topology& topology, const TraceStore& trace,
 struct LoadedSnapshot {
   std::unique_ptr<Topology> topology;
   std::unique_ptr<TraceStore> trace;
-  /// True when the snapshot carried a PANEL section and the trace adopted
-  /// it (no lazy rebuild needed).
-  bool panel_loaded = false;
 };
 
 /// Rebuild a topology + trace from a snapshot stream. Pass the codec that
@@ -166,12 +158,6 @@ struct LoadedSnapshot {
 /// a format-version mismatch.
 LoadedSnapshot load_trace_snapshot(std::istream& in,
                                    const SnapshotModelCodec* codec = nullptr);
-
-/// Panel-only snapshot (same container; GRID + PANEL sections). Used by
-/// the pipeline to cache the materialized matrices separately from the
-/// trace artifact.
-void save_panel_snapshot(const TelemetryPanel& panel, std::ostream& out);
-std::unique_ptr<TelemetryPanel> load_panel_snapshot(std::istream& in);
 
 // --- mmap-backed read path ----------------------------------------------
 //
@@ -217,14 +203,11 @@ class SnapshotMapping {
   std::vector<std::pair<std::uint32_t, std::string_view>> sections_;
 };
 
-/// Mapping-based loads: identical results to the stream overloads, byte
-/// for byte, but panel payloads are referenced in place before the copy
-/// into the panel's own storage (and shard payloads are never copied at
-/// all — see open_panel_shard).
+/// Mapping-based load: identical results to the stream overload, byte for
+/// byte, without slurping the file first (and shard payloads are never
+/// copied at all — see open_panel_shard).
 LoadedSnapshot load_trace_snapshot(const SnapshotMapping& mapping,
                                    const SnapshotModelCodec* codec = nullptr);
-std::unique_ptr<TelemetryPanel> load_panel_snapshot(
-    const SnapshotMapping& mapping);
 
 // --- panel shard files ---------------------------------------------------
 //

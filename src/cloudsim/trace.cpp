@@ -66,6 +66,7 @@ VmId TraceStore::add_vm(VmRecord record) {
   node_index_valid_ = false;
   sub_index_valid_ = false;
   panel_valid_ = false;
+  panel_.reset();
   shards_valid_ = false;
   return id;
 }
@@ -81,10 +82,13 @@ void TraceStore::set_vm_deleted(VmId id, SimTime when) {
   // Shortening a VM's life changes derived telemetry (its panel row is
   // zero outside [created, deleted)) and any liveness-derived index, so
   // invalidate the lazy caches exactly the way add_vm does. Rebuilds are
-  // lazy, so bursts of terminations (failure injection) pay once.
+  // lazy, so bursts of terminations (failure injection) pay once. The
+  // stale panel is freed now rather than at the next build, so the two
+  // never coexist.
   node_index_valid_ = false;
   sub_index_valid_ = false;
   panel_valid_ = false;
+  panel_.reset();
   shards_valid_ = false;
 }
 
@@ -109,7 +113,7 @@ void TraceStore::build_subscription_index() const {
 void TraceStore::build_telemetry_panel() const {
   std::lock_guard<std::mutex> lock(index_mutex_);
   if (panel_valid_.load(std::memory_order_relaxed)) return;
-  panel_ = std::make_unique<TelemetryPanel>(*this, grid_, panel_parallel_);
+  panel_ = std::make_unique<TelemetryPanel>(*this, grid_);
   panel_valid_.store(true, std::memory_order_release);
 }
 
@@ -122,18 +126,6 @@ const TelemetryPanel* TraceStore::telemetry_panel() const {
   if (!panel_enabled_) return nullptr;
   if (!panel_valid_.load(std::memory_order_acquire)) build_telemetry_panel();
   return panel_.get();
-}
-
-bool TraceStore::adopt_telemetry_panel(std::unique_ptr<TelemetryPanel> panel) {
-  if (sharding_ != nullptr || pop_shards_ != nullptr) return false;
-  if (!panel_enabled_ || panel == nullptr) return false;
-  if (panel->grid() != grid_ || panel->vm_count() != vm_span().size()) {
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(index_mutex_);
-  panel_ = std::move(panel);
-  panel_valid_.store(true, std::memory_order_release);
-  return true;
 }
 
 void TraceStore::set_telemetry_panel_enabled(bool enabled) {
@@ -290,6 +282,7 @@ void TraceStore::adopt_vm_records(
   node_index_valid_ = false;
   sub_index_valid_ = false;
   panel_valid_ = false;
+  panel_.reset();
   shards_valid_ = false;
 }
 
@@ -327,12 +320,13 @@ stats::TimeSeries TraceStore::node_utilization(NodeId id,
     const VmRecord& rec = vm(vm_id);
     if (!rec.utilization) continue;
     const double weight = rec.cores / node.total_cores;
-    // Weighted row sum over the panel (or an identically-filled scratch
-    // row): rows are zero outside the VM's life, so adding every tick is
-    // bit-identical to the old alive-gated accumulation.
-    const std::span<const double> row =
-        vm_telemetry_row(*this, panel, vm_id, grid, scratch);
-    for (std::size_t i = 0; i < grid.count; ++i) values[i] += weight * row[i];
+    // Weighted sum over the VM's alive window only. Its row is zero
+    // everywhere else, and each skipped term would add weight * +0.0 to a
+    // sum, which leaves it unchanged — so this is bit-identical to adding
+    // the full row, without filling panel rows for short-lived VMs.
+    const AliveRow row = vm_alive_row(*this, panel, rec, grid, scratch);
+    for (std::size_t i = 0; i < row.values.size(); ++i)
+      values[row.begin + i] += weight * row.values[i];
   }
   out.clamp(0.0, 1.0);
   return out;

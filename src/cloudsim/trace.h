@@ -178,13 +178,17 @@ class TraceStore {
   double node_used_cores(NodeId id, SimTime t) const;
 
   /// The columnar telemetry cache (row-major VM × tick utilization matrix
-  /// plus an hourly-mean companion view), materialized lazily on first call
-  /// over `telemetry_grid()` and invalidated by add_vm/set_vm_deleted.
+  /// plus an hourly-mean companion view) over `telemetry_grid()`. The call
+  /// itself only reserves the matrices; each row fills on its first read
+  /// (see telemetry_panel.h), so a trace pays memory and time only for the
+  /// rows its analyses touch. add_vm/set_vm_deleted drop the panel, and
+  /// the next call reserves a fresh one.
   /// Returns nullptr when the panel is disabled — consumers fall back to
   /// on-demand row evaluation with identical bits (see telemetry_panel.h).
-  /// Safe for concurrent readers: the first reader builds the panel under
+  /// Safe for concurrent readers: the first reader creates the panel under
   /// the index mutex and publishes it with a release-store, exactly like
-  /// the node/subscription indexes.
+  /// the node/subscription indexes; rows then fill under per-row
+  /// once-flags from whichever thread reads them first.
   const TelemetryPanel* telemetry_panel() const;
 
   /// Enable/disable the panel (default: enabled). Disabling drops the
@@ -193,18 +197,9 @@ class TraceStore {
   void set_telemetry_panel_enabled(bool enabled);
   bool telemetry_panel_enabled() const { return panel_enabled_; }
 
-  /// Parallelism used for the lazy panel build (results are per-row
-  /// independent, so any thread count yields identical bits).
-  void set_telemetry_parallel(const ParallelConfig& parallel) {
-    panel_parallel_ = parallel;
-  }
-
-  /// Install a prebuilt panel (snapshot load) instead of rebuilding it
-  /// lazily. The panel must cover every VM over `telemetry_grid()`; a
-  /// mismatched or disabled panel is rejected (returns false, store
-  /// unchanged). Mutation must be externally serialized against readers,
-  /// like every other mutator.
-  bool adopt_telemetry_panel(std::unique_ptr<TelemetryPanel> panel);
+  /// Deprecated; has no effect. The panel no longer fills in one bulk
+  /// pass: its rows fill inside the consumers' own parallel fan-outs.
+  void set_telemetry_parallel(const ParallelConfig&) {}
 
   /// Out-of-core mode: shard the telemetry matrix by subscription hash
   /// into mmap-backed spill files (cloudsim/shard.h) instead of one
@@ -296,11 +291,9 @@ class TraceStore {
   mutable std::unordered_map<SubscriptionId, std::vector<VmId>> sub_index_;
 
   // Lazy columnar telemetry cache (same publication pattern as the
-  // indexes above). `panel_enabled_`/`panel_parallel_` are plain state:
-  // they are only written by mutators, which are serialized against
-  // readers by contract.
+  // indexes above). `panel_enabled_` is plain state: it is only written by
+  // mutators, which are serialized against readers by contract.
   bool panel_enabled_ = true;
-  ParallelConfig panel_parallel_{};
   mutable std::atomic<bool> panel_valid_{false};
   mutable std::unique_ptr<TelemetryPanel> panel_;
 

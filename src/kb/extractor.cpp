@@ -144,7 +144,8 @@ std::vector<SubscriptionKnowledge> extract_all(
     return SubscriptionId(static_cast<SubscriptionId::underlying>(i));
   };
   // Serial warm-up of the lazily-built shared state (subscription index,
-  // telemetry panel) before fanning out; workers then only read.
+  // telemetry panel) before fanning out; workers then only read the index
+  // and fill the panel rows they touch.
   if (sub_count > 0) trace.vms_of_subscription(sub_id(0));
   trace.telemetry_panel();
 

@@ -1,8 +1,8 @@
 // Stage-graph run pipeline with content-keyed artifact caching.
 //
 // Every CLI command used to be an ad-hoc script: regenerate (or re-import)
-// the trace, rebuild the telemetry panel, re-extract knowledge, then do
-// its real work. The pipeline factors that shared prefix into an explicit
+// the trace, re-extract knowledge, then do its real work. The pipeline
+// factors that shared prefix into an explicit
 // graph of *stages* — named units with declared inputs, a deterministic
 // content key, and optional serialization — executed by a memoizing
 // runner:

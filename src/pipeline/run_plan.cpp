@@ -23,12 +23,6 @@
 namespace cloudlens::pipeline {
 namespace {
 
-/// The panel stage's artifact: a view into the trace stage's TraceStore
-/// (the panel lives inside it either way; this pins *that it is built*).
-struct PanelArtifact {
-  const TelemetryPanel* panel = nullptr;
-};
-
 /// The shards stage's artifact: a view into the TraceStore's shard store.
 struct ShardArtifact {
   const TelemetryShardStore* shards = nullptr;
@@ -157,49 +151,16 @@ Stage make_trace_stage(const RunPlanOptions& options) {
                   const StageInputs&, std::ostream& out) {
     const auto& trace = *std::static_pointer_cast<TraceArtifact>(artifact);
     SnapshotWriteOptions snapshot;
-    snapshot.include_panel = false;
     snapshot.model_codec = &workloads::pattern_snapshot_codec();
     save_trace_snapshot(*trace.topology, *trace.trace, out, snapshot);
   };
-  stage.load = [parallel = options.parallel](const StageInputs&,
-                                             std::istream& in) {
+  stage.load = [](const StageInputs&, std::istream& in) {
     LoadedSnapshot loaded =
         load_trace_snapshot(in, &workloads::pattern_snapshot_codec());
     auto artifact = std::make_shared<TraceArtifact>();
     artifact->topology = std::move(loaded.topology);
     artifact->trace = std::move(loaded.trace);
-    artifact->trace->set_telemetry_parallel(parallel);
     return artifact;
-  };
-  return stage;
-}
-
-Stage make_panel_stage() {
-  Stage stage;
-  stage.name = "panel";
-  stage.inputs = {"trace"};
-  // No key_extra: the panel is a pure function of the trace and its grid,
-  // both already covered by the trace stage's key.
-  stage.compute = [](const StageInputs& inputs) {
-    const auto trace = inputs.get<TraceArtifact>("trace");
-    trace->trace->set_telemetry_parallel(inputs.parallel());
-    const TelemetryPanel* panel = trace->trace->telemetry_panel();
-    CL_CHECK_MSG(panel != nullptr,
-                 "panel stage requires the telemetry panel enabled");
-    return std::make_shared<PanelArtifact>(PanelArtifact{panel});
-  };
-  stage.save = [](const std::shared_ptr<void>& artifact, const StageInputs&,
-                  std::ostream& out) {
-    save_panel_snapshot(
-        *std::static_pointer_cast<PanelArtifact>(artifact)->panel, out);
-  };
-  stage.load = [](const StageInputs& inputs, std::istream& in) {
-    const auto trace = inputs.get<TraceArtifact>("trace");
-    std::unique_ptr<TelemetryPanel> panel = load_panel_snapshot(in);
-    CL_CHECK_MSG(trace->trace->adopt_telemetry_panel(std::move(panel)),
-                 "cached panel does not match the trace");
-    return std::make_shared<PanelArtifact>(
-        PanelArtifact{trace->trace->telemetry_panel()});
   };
   return stage;
 }
@@ -242,7 +203,7 @@ PopulationShardingOptions streaming_population_options(
   return po;
 }
 
-/// The out-of-core replacement for the panel stage. Uncacheable as a
+/// The out-of-core telemetry stage. Uncacheable as a
 ///// pipeline artifact on purpose: the spill files themselves are the
 /// persistent form, revalidated by the router digest in their headers, so
 /// save/load would only duplicate them.
@@ -388,8 +349,6 @@ ResolvedRun run_trace_plan(const RunPlanOptions& options) {
     runner.add(make_population_stage(options, &runner));
   } else if (sharded) {
     runner.add(make_shards_stage(options, &runner));
-  } else if (options.want_panel) {
-    runner.add(make_panel_stage());
   }
   if (options.want_kb) runner.add(make_kb_stage(options));
 
@@ -401,8 +360,6 @@ ResolvedRun run_trace_plan(const RunPlanOptions& options) {
     runner.resolve("pop-shards");
   } else if (sharded) {
     runner.resolve("shards");
-  } else if (options.want_panel) {
-    runner.resolve("panel");
   }
   if (options.want_kb) {
     run.knowledge = runner.resolve_as<kb::KnowledgeBase>("kb");

@@ -1,6 +1,6 @@
-// The CLI's shared run plan: trace -> panel -> kb as pipeline stages.
+// The CLI's shared run plan: trace -> kb as pipeline stages.
 //
-// Every cloudlens command needs some prefix of the same three artifacts:
+// Every cloudlens command needs some prefix of the same two artifacts:
 //
 //   trace   Topology + TraceStore. Two source modes:
 //             generated — make_scenario(seed, scale, horizon, profiles);
@@ -13,16 +13,17 @@
 //               backend's input files from `trace_dir`; keyed by the
 //               backend name + the raw bytes of those files (editing any
 //               row is a new key) + the telemetry grid.
-//   panel   The materialized TelemetryPanel for the trace (input: trace).
-//           Cached as a GRID+PANEL snapshot and adopted back into the
-//           TraceStore on a hit, so warm analysis commands skip the
-//           panel build entirely.
 //   kb      SubscriptionKnowledge records (input: trace), keyed by every
 //           ExtractorOptions field; cached as the kb CSV.
 //
 // Thread counts, metrics, and cache location are execution environment,
 // not identity: none of them reach any key (results are bit-identical at
 // any thread count, so a warm cache must hit across --threads values).
+//
+// The telemetry panel is not a stage: it reserves its matrices on first
+// use and fills only the rows the analyses read (cloudsim/
+// telemetry_panel.h), which costs less than loading a cached full matrix.
+// The out-of-core modes add a "shards" or "pop-shards" stage instead.
 #pragma once
 
 #include <memory>
@@ -60,12 +61,13 @@ struct RunPlanOptions {
   /// scenario horizon).
   TimeGrid csv_grid = week_telemetry_grid();
 
-  /// Resolve the panel stage (materialized telemetry matrices).
+  /// Deprecated; has no effect. There is no panel stage any more: the
+  /// telemetry panel fills rows on demand inside the analyses.
   bool want_panel = true;
-  /// Out-of-core telemetry: when > 0 the panel stage is replaced by a
-  /// "shards" stage that spills K mmap-ready shard snapshots and puts the
-  /// TraceStore into sharded mode (telemetry_panel() stays null; the
-  /// streaming analyses page shards in under a mapped-bytes budget).
+  /// Out-of-core telemetry: when > 0 a "shards" stage spills K mmap-ready
+  /// shard snapshots and puts the TraceStore into sharded mode
+  /// (telemetry_panel() stays null; the streaming analyses page shards in
+  /// under a mapped-bytes budget).
   /// Outputs are bit-identical either way, so downstream stage keys (kb)
   /// are unchanged; only K reaches the shards stage's key — the budget,
   /// like thread counts, is execution environment.
@@ -77,8 +79,7 @@ struct RunPlanOptions {
   /// files via the router digest); with caching disabled the records
   /// stream straight into the shards during generation/import and the
   /// resident record vector never materializes. Mutually exclusive with
-  /// panel_shards and want_panel (population mode streams rows on
-  /// demand). Outputs are byte-identical either way; only K reaches the
+  /// panel_shards (population mode streams rows on demand). Outputs are byte-identical either way; only K reaches the
   /// stage key.
   std::uint32_t record_shards = 0;
   /// Shared residency budget for the out-of-core stores (mapped telemetry
@@ -99,8 +100,8 @@ struct RunPlanOptions {
   obs::TraceSink* sink = nullptr;           ///< null = process-global
 };
 
-/// The trace stage's artifact. Mutable TraceStore so the panel stage can
-/// adopt cached matrices into it.
+/// The trace stage's artifact. Mutable TraceStore so the out-of-core
+/// stages can switch it into sharded mode.
 struct TraceArtifact {
   std::unique_ptr<Topology> topology;
   std::unique_ptr<TraceStore> trace;

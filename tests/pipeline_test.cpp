@@ -246,7 +246,6 @@ std::vector<StageReport> plan_reports(const std::string& cache_dir,
   RunPlanOptions options;
   options.scenario.scale = scale;
   options.scenario.seed = seed;
-  options.want_panel = false;
   options.cache_dir = cache_dir;
   options.parallel = ParallelConfig::with_threads(threads);
   if (mutate_profile) {
@@ -276,7 +275,6 @@ TEST_F(TempDirTest, RunPlanCacheDisabledNeverStores) {
   RunPlanOptions options;
   options.scenario.scale = 0.02;
   options.scenario.seed = 7;
-  options.want_panel = false;
   options.cache_dir = dir();
   options.cache_enabled = false;
   const auto run = run_trace_plan(options);

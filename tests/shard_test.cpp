@@ -227,7 +227,6 @@ TEST_F(ShardGeneratedTest, TraceStoreShardedModeContract) {
   const TelemetryShardStore* shards = trace.telemetry_shards();
   ASSERT_NE(shards, nullptr);
   EXPECT_EQ(shards->shard_count(), 3u);
-  EXPECT_FALSE(trace.adopt_telemetry_panel(nullptr));
 
   trace.clear_telemetry_sharding();
   EXPECT_FALSE(trace.telemetry_sharding_enabled());

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <vector>
 
+#include "cloudsim/telemetry_panel.h"
 #include "cloudsim/trace_io.h"
 #include "common/check.h"
 #include "testutil.h"
@@ -254,76 +255,6 @@ TEST_F(SnapshotGeneratedTest, WithoutCodecDegradesToGridExactSamples) {
   }
 }
 
-TEST_F(SnapshotGeneratedTest, PanelSectionRoundTripsBitIdentical) {
-  const TelemetryPanel* panel = scenario_->trace->telemetry_panel();
-  ASSERT_NE(panel, nullptr);
-
-  SnapshotWriteOptions options;
-  options.include_panel = true;
-  options.model_codec = &workloads::pattern_snapshot_codec();
-  const std::string bytes =
-      save_to_string(*scenario_->topology, *scenario_->trace, options);
-  const auto loaded =
-      load_from_string(bytes, &workloads::pattern_snapshot_codec());
-  ASSERT_TRUE(loaded.panel_loaded);
-
-  const TelemetryPanel* panel2 = loaded.trace->telemetry_panel();
-  ASSERT_NE(panel2, nullptr);
-  ASSERT_EQ(panel2->vm_count(), panel->vm_count());
-  for (std::size_t v = 0; v < panel->vm_count(); v += 37) {
-    const VmId id(static_cast<VmId::underlying>(v));
-    const auto a = panel->row(id);
-    const auto b = panel2->row(id);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); i += 53) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]),
-                std::bit_cast<std::uint64_t>(b[i]));
-    }
-    const auto ha = panel->hourly_row(id);
-    const auto hb = panel2->hourly_row(id);
-    ASSERT_EQ(ha.size(), hb.size());
-    for (std::size_t i = 0; i < ha.size(); ++i) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(ha[i]),
-                std::bit_cast<std::uint64_t>(hb[i]));
-    }
-  }
-}
-
-TEST_F(SnapshotGeneratedTest, PanelOnlySnapshotRoundTrips) {
-  const TelemetryPanel* panel = scenario_->trace->telemetry_panel();
-  ASSERT_NE(panel, nullptr);
-  std::ostringstream out(std::ios::binary);
-  save_panel_snapshot(*panel, out);
-  std::istringstream in(out.str(), std::ios::binary);
-  const auto panel2 = load_panel_snapshot(in);
-  ASSERT_EQ(panel2->vm_count(), panel->vm_count());
-  ASSERT_EQ(panel2->grid().count, panel->grid().count);
-  for (std::size_t v = 0; v < panel->vm_count(); v += 61) {
-    const VmId id(static_cast<VmId::underlying>(v));
-    const auto a = panel->row(id);
-    const auto b = panel2->row(id);
-    for (std::size_t i = 0; i < a.size(); i += 101) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]),
-                std::bit_cast<std::uint64_t>(b[i]));
-    }
-  }
-}
-
-TEST_F(SnapshotGeneratedTest, AdoptRejectsMismatchedPanel) {
-  // A panel from a different trace (wrong vm count) must be refused.
-  workloads::ScenarioOptions options;
-  options.scale = 0.02;
-  options.seed = 5;
-  auto other = workloads::make_scenario(options);
-  const TelemetryPanel* panel = other.trace->telemetry_panel();
-  ASSERT_NE(panel, nullptr);
-  std::ostringstream out(std::ios::binary);
-  save_panel_snapshot(*panel, out);
-  std::istringstream in(out.str(), std::ios::binary);
-  EXPECT_FALSE(
-      scenario_->trace->adopt_telemetry_panel(load_panel_snapshot(in)));
-}
-
 // ---- SnapshotMapping: mmap'd read path + error handling -----------------
 
 /// Writes `bytes` to a unique file under the system temp dir; removes it
@@ -447,27 +378,111 @@ TEST(SnapshotMappingTest, RejectsEmptyAndMissingFile) {
   EXPECT_THROW(SnapshotMapping{file.path() + ".does-not-exist"}, CheckError);
 }
 
-TEST_F(SnapshotGeneratedTest, PanelSnapshotLoadsIdenticallyViaMapping) {
-  const TelemetryPanel* panel = scenario_->trace->telemetry_panel();
-  ASSERT_NE(panel, nullptr);
-  std::ostringstream out(std::ios::binary);
-  save_panel_snapshot(*panel, out);
-  TempSnapshotFile file(out.str(), "panelmap");
+/// `container` with one more section appended: every existing payload
+/// keeps its bytes and moves down by one table entry.
+std::string with_extra_section(const std::string& container,
+                               std::uint32_t id, const std::string& payload) {
+  snapshot_codec::Reader r(container);
+  const std::uint32_t magic = r.u32();
+  const std::uint32_t version = r.u32();
+  const std::uint32_t count = r.u32();
+  r.u32();
+  std::string out;
+  snapshot_codec::append_u32(out, magic);
+  snapshot_codec::append_u32(out, version);
+  snapshot_codec::append_u32(out, count + 1);
+  snapshot_codec::append_u32(out, 0);
+  constexpr std::uint64_t kEntryBytes = 24;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    snapshot_codec::append_u32(out, r.u32());
+    snapshot_codec::append_u32(out, r.u32());
+    snapshot_codec::append_u64(out, r.u64() + kEntryBytes);
+    snapshot_codec::append_u64(out, r.u64());
+  }
+  const std::size_t payloads_at = 16 + count * kEntryBytes;
+  snapshot_codec::append_u32(out, id);
+  snapshot_codec::append_u32(out, 0);
+  snapshot_codec::append_u64(out, container.size() + kEntryBytes);
+  snapshot_codec::append_u64(out, payload.size());
+  out.append(container, payloads_at);
+  out += payload;
+  return out;
+}
 
-  SnapshotMapping mapping(file.path());
-  EXPECT_TRUE(mapping.has_section(7));  // kPanel
-  const auto panel2 = load_panel_snapshot(mapping);
-  ASSERT_EQ(panel2->vm_count(), panel->vm_count());
-  for (std::size_t v = 0; v < panel->vm_count(); v += 61) {
+// Older writers could store the whole telemetry panel as section 7
+// (PANEL), in trace snapshots and in the pipeline's panel cache entries.
+// Such files must still load — through the stream and the mapping — with
+// the section skipped and rows refilled from the models on demand.
+
+/// `plain` with an old-layout PANEL section appended (grid, row count,
+/// rows, hourly rows), filled with a value no real row holds, so reading
+/// any of it would show.
+std::string with_legacy_panel_section(const std::string& plain,
+                                      const TraceStore& trace) {
+  const TimeGrid& grid = trace.telemetry_grid();
+  const std::size_t rows = trace.vms().size();
+  const std::size_t hours = grid.count / (kHour / grid.step);
+  std::string panel;
+  snapshot_codec::append_i64(panel, grid.start);
+  snapshot_codec::append_i64(panel, grid.step);
+  snapshot_codec::append_u64(panel, grid.count);
+  snapshot_codec::append_u64(panel, rows);
+  for (std::size_t i = 0; i < rows * (grid.count + hours); ++i)
+    snapshot_codec::append_f64(panel, 7.0);
+  return with_extra_section(plain, 7, panel);
+}
+
+/// `loaded` holds the trace `plain` holds, byte for byte, and its panel
+/// starts empty and refills rows bit-identical to `trace`'s models.
+void expect_loads_like_plain(const LoadedSnapshot& loaded,
+                             const std::string& plain, const TraceStore& trace,
+                             const SnapshotWriteOptions& options) {
+  EXPECT_EQ(save_to_string(*loaded.topology, *loaded.trace, options), plain);
+  const TimeGrid& grid = trace.telemetry_grid();
+  const TelemetryPanel* loaded_panel = loaded.trace->telemetry_panel();
+  ASSERT_NE(loaded_panel, nullptr);
+  EXPECT_EQ(loaded_panel->rows_filled(), 0u);
+  std::vector<double> expected(grid.count);
+  for (std::size_t v = 0; v < trace.vms().size(); v += 37) {
     const VmId id(static_cast<VmId::underlying>(v));
-    const auto a = panel->row(id);
-    const auto b = panel2->row(id);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); i += 101) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]),
-                std::bit_cast<std::uint64_t>(b[i]));
+    TelemetryPanel::fill_row(trace.vm(id), grid, expected);
+    const auto row = loaded_panel->row(id);
+    ASSERT_EQ(row.size(), expected.size());
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(row[i]),
+                std::bit_cast<std::uint64_t>(expected[i]))
+          << "vm " << v << " tick " << i;
     }
   }
+}
+
+TEST_F(SnapshotGeneratedTest, PanelSectionRoundTripsBitIdentical) {
+  const TraceStore& trace = *scenario_->trace;
+  SnapshotWriteOptions options;
+  options.model_codec = &workloads::pattern_snapshot_codec();
+  const std::string plain =
+      save_to_string(*scenario_->topology, trace, options);
+  const std::string legacy = with_legacy_panel_section(plain, trace);
+
+  const LoadedSnapshot loaded =
+      load_from_string(legacy, &workloads::pattern_snapshot_codec());
+  expect_loads_like_plain(loaded, plain, trace, options);
+}
+
+TEST_F(SnapshotGeneratedTest, PanelSnapshotLoadsIdenticallyViaMapping) {
+  const TraceStore& trace = *scenario_->trace;
+  SnapshotWriteOptions options;
+  options.model_codec = &workloads::pattern_snapshot_codec();
+  const std::string plain =
+      save_to_string(*scenario_->topology, trace, options);
+  const std::string legacy = with_legacy_panel_section(plain, trace);
+
+  TempSnapshotFile file(legacy, "legacy-panel");
+  SnapshotMapping mapping(file.path());
+  ASSERT_TRUE(mapping.has_section(7));
+  const LoadedSnapshot loaded =
+      load_trace_snapshot(mapping, &workloads::pattern_snapshot_codec());
+  expect_loads_like_plain(loaded, plain, trace, options);
 }
 
 TEST(SnapshotMappingTest, PanelShardRoundTripsThroughMapping) {

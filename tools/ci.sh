@@ -5,7 +5,8 @@
 #   2. ThreadSanitizer — same suite under TSan; this is the build that
 #      polices the deterministic parallel engine (common/parallel.*),
 #      every parallel call site, and the telemetry panel's concurrent
-#      lazy build. Run it whenever you touch them.
+#      lazy creation and per-row first fills. Run it whenever you touch
+#      them.
 #   3. UBSan          — address+undefined (incl. float-cast-overflow);
 #      runs the kernel + stats suites, policing the SIMD kernel tier's
 #      integer/float conversions and intrinsic shims.
@@ -15,14 +16,16 @@
 # sides of the dispatch seam stay covered whatever the host CPU is.
 #
 # Both flavours re-run the telemetry-panel suites explicitly (panel
-# lifecycle, sample()==at() contract, panel-vs-legacy bit identity) and
+# lifecycle, demand fill — including 8 threads racing one row's first
+# fill — sample()==at() contract, panel-vs-legacy bit identity) and
 # the observability suites (metrics/span/context determinism — the TSan
 # pass polices the sharded registry and the span sink under concurrency).
 # Both also re-run the snapshot + pipeline suites (binary snapshot round
 # trips, cache-key invariants, cold/warm equivalence) — the TSan pass
-# matters here because warm runs adopt cached panels into the same lazy
-# publication path the panel build uses — and the serve suites (stream
-# format pins, streamed-vs-batch byte identity, concurrent ingest/query),
+# matters here because the cold/warm equivalence runs fill panel rows
+# from the pool's workers after a snapshot load — and the serve suites
+# (stream format pins, streamed-vs-batch byte identity, concurrent
+# ingest/query),
 # where the TSan pass polices the serve engine's snapshot publication.
 # The Release flavour finishes with five perf smokes: a small-trace
 # bench_telemetry run that checks panel/legacy checksum identity, a

@@ -14,9 +14,9 @@
 // preprocessed external traces — can be analyzed the same way.
 //
 // Every command runs through the stage-graph pipeline (pipeline/run_plan.h):
-// the trace, telemetry panel, and knowledge-base prefixes are content-keyed
-// stages whose binary snapshots land in an artifact cache, so a warm rerun
-// loads them instead of regenerating/reimporting — bit-identically, at any
+// the trace and knowledge-base prefixes are content-keyed stages whose
+// binary snapshots land in an artifact cache, so a warm rerun loads them
+// instead of regenerating/reimporting — bit-identically, at any
 // --threads setting. The analysis commands also run without --in, resolving
 // the generated scenario for (--scale, --seed) straight from the cache that
 // `generate` populated. `--cache-dir DIR` relocates the cache (default:
@@ -178,7 +178,7 @@ int command_help(const std::string& command) {
         << "usage: cloudlens generate --out DIR [flags]\n"
            "synthesize a one-week dual-cloud trace; write topology.csv,\n"
            "vmtable.csv, utilization.csv, kb.csv into DIR and populate the\n"
-           "artifact cache (trace + panel + kb stages) for later commands.\n"
+           "artifact cache (trace + kb stages) for later commands.\n"
            "  --out DIR           output directory (required)\n"
            "  --scale F           population scale (default 0.3)\n"
            "  --seed N            generator seed (default 42)\n"
@@ -431,7 +431,6 @@ int cmd_import(const CliArgs& args) {
     return 2;
   }
   pipeline::RunPlanOptions plan = make_plan(args);
-  plan.want_panel = false;  // decode + cache; analyses resolve it later
   const ingest::IngestBackend& backend =
       *ingest::find_backend(plan.trace_backend);
   std::cout << "importing " << args.dir << " via the " << backend.name()
