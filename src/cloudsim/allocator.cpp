@@ -11,7 +11,28 @@ Allocator::Allocator(const Topology& topology, AllocatorOptions opts)
     : topo_(topology),
       opts_(opts),
       use_(topology.nodes().size()),
-      node_available_(topology.nodes().size(), true) {}
+      node_available_(topology.nodes().size(), true),
+      scan_(topology.regions().size() * 2) {
+  // Clusters in id order, each appending its nodes: per table this is the
+  // clusters_in order, so scans (and tie-breaks) match a cluster-list walk.
+  for (const Cluster& cluster : topology.clusters()) {
+    auto& table = scan_[cluster.region.value() * 2 +
+                        static_cast<std::size_t>(cluster.cloud)];
+    for (const NodeId nid : cluster.nodes) {
+      const Node& node = topology.node(nid);
+      table.push_back(
+          ScanEntry{nid, node.rack, node.total_cores, node.total_memory_gb});
+    }
+  }
+}
+
+std::span<const Allocator::ScanEntry> Allocator::scan_table(
+    RegionId region, CloudType cloud) const {
+  const std::size_t index = static_cast<std::size_t>(region.value()) * 2 +
+                            static_cast<std::size_t>(cloud);
+  if (!region.valid() || index >= scan_.size()) return {};
+  return scan_[index];
+}
 
 void Allocator::set_node_available(NodeId id, bool available) {
   CL_CHECK(id.valid() && id.value() < node_available_.size());
@@ -39,35 +60,38 @@ std::optional<Placement> Allocator::allocate(const VmRequest& request,
   const std::uint64_t owner = owner_key(request);
 
   // Rule chain: feasibility filter, then (fewest same-owner VMs in the
-  // rack, best-fit on cores) as the preference order.
-  const Node* best = nullptr;
+  // rack, best-fit on cores) as the preference order. The owner's count is
+  // probed when the scan enters a new rack, at its first feasible node.
+  const ScanEntry* best = nullptr;
   int best_owner_in_rack = std::numeric_limits<int>::max();
   double best_leftover = std::numeric_limits<double>::infinity();
+  RackId probed_rack;
+  int probed_count = 0;
 
-  for (const ClusterId cid : topo_.clusters_in(request.region, request.cloud)) {
-    const Cluster& cluster = topo_.cluster(cid);
-    for (const NodeId nid : cluster.nodes) {
-      if (!node_available_[nid.value()]) continue;
-      ++nodes_scanned;
-      const Node& node = topo_.node(nid);
-      const NodeUse& u = use_[nid.value()];
-      if (u.cores + request.cores > node.total_cores ||
-          u.memory_gb + request.memory_gb > node.total_memory_gb)
-        continue;
+  for (const ScanEntry& entry : scan_table(request.region, request.cloud)) {
+    if (!node_available_[entry.node.value()]) continue;
+    ++nodes_scanned;
+    const NodeUse& u = use_[entry.node.value()];
+    if (u.cores + request.cores > entry.total_cores ||
+        u.memory_gb + request.memory_gb > entry.total_memory_gb)
+      continue;
 
-      int owner_in_rack = 0;
-      if (opts_.spread_fault_domains) {
+    int owner_in_rack = 0;
+    if (opts_.spread_fault_domains) {
+      if (entry.rack != probed_rack) {
+        probed_rack = entry.rack;
         const auto it =
-            rack_owner_count_.find(rack_owner_slot(node.rack, owner));
-        owner_in_rack = it == rack_owner_count_.end() ? 0 : it->second;
+            rack_owner_count_.find(rack_owner_slot(entry.rack, owner));
+        probed_count = it == rack_owner_count_.end() ? 0 : it->second;
       }
-      const double leftover = node.total_cores - u.cores - request.cores;
-      if (owner_in_rack < best_owner_in_rack ||
-          (owner_in_rack == best_owner_in_rack && leftover < best_leftover)) {
-        best = &node;
-        best_owner_in_rack = owner_in_rack;
-        best_leftover = leftover;
-      }
+      owner_in_rack = probed_count;
+    }
+    const double leftover = entry.total_cores - u.cores - request.cores;
+    if (owner_in_rack < best_owner_in_rack ||
+        (owner_in_rack == best_owner_in_rack && leftover < best_leftover)) {
+      best = &entry;
+      best_owner_in_rack = owner_in_rack;
+      best_leftover = leftover;
     }
   }
 
@@ -79,13 +103,13 @@ std::optional<Placement> Allocator::allocate(const VmRequest& request,
     return std::nullopt;
   }
 
-  NodeUse& u = use_[best->id.value()];
+  NodeUse& u = use_[best->node.value()];
   u.cores += request.cores;
   u.memory_gb += request.memory_gb;
   ++rack_owner_count_[rack_owner_slot(best->rack, owner)];
-  leases_.emplace(vm, Lease{best->id, best->rack, request.cores,
+  leases_.emplace(vm, Lease{best->node, best->rack, request.cores,
                             request.memory_gb, owner});
-  return Placement{best->cluster, best->rack, best->id};
+  return Placement{topo_.node(best->node).cluster, best->rack, best->node};
 }
 
 void Allocator::release(VmId vm) {

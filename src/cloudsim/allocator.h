@@ -5,10 +5,15 @@
 // (fault domains) hosting the fewest VMs of the same owner (service or
 // subscription), then best-fit on cores. Tracks allocation failures, which
 // the paper's Insight 1 links to large private-cloud deployment sizes.
+//
+// The scan walks a flat per-(region, cloud) table built once from the
+// topology, in cluster-then-node order, and looks the owner's count up once
+// per run of same-rack nodes rather than once per node.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -73,6 +78,18 @@ class Allocator {
   /// to one, otherwise the subscription.
   static std::uint64_t owner_key(const VmRequest& request);
 
+  /// What the rule chain reads about one node, copied out of the topology.
+  struct ScanEntry {
+    NodeId node;
+    RackId rack;
+    double total_cores = 0;
+    double total_memory_gb = 0;
+  };
+  /// The nodes of `region` + `cloud`, in Topology::clusters_in ×
+  /// Cluster::nodes order (empty for an unknown region).
+  std::span<const ScanEntry> scan_table(RegionId region,
+                                        CloudType cloud) const;
+
   struct NodeUse {
     double cores = 0;
     double memory_gb = 0;
@@ -89,6 +106,8 @@ class Allocator {
   AllocatorOptions opts_;
   std::vector<NodeUse> use_;          // indexed by NodeId value
   std::vector<bool> node_available_;  // indexed by NodeId value
+  // region * 2 + cloud -> scan table.
+  std::vector<std::vector<ScanEntry>> scan_;
   // rack -> owner -> live VM count (for spreading).
   std::unordered_map<std::uint64_t, int> rack_owner_count_;
   std::unordered_map<VmId, Lease> leases_;

@@ -65,9 +65,10 @@ SimulationStats run_simulation(const Topology& topology, TraceStore& trace,
     events.push({outages[i].at, EventKind::kOutage, seq++, i, VmId()});
   }
 
-  // Live VMs per node (for outage processing), each live VM's node (so
-  // removal never reads the trace — records may already be spilled), and
-  // the set of VMs terminated early (their scheduled removal is a no-op).
+  // Outage bookkeeping, kept only when outages are injected: live VMs per
+  // node, each live VM's node (so removal never reads the trace), and the
+  // set of VMs terminated early (their scheduled removal is a no-op).
+  const bool track_outages = !outages.empty();
   std::unordered_map<NodeId, std::unordered_set<VmId>> live_on_node;
   std::unordered_map<VmId, NodeId> node_of_vm;
   std::unordered_set<VmId> killed;
@@ -80,6 +81,7 @@ SimulationStats run_simulation(const Topology& topology, TraceStore& trace,
       case EventKind::kRemove: {
         if (killed.contains(event.vm)) break;
         allocator.release(event.vm);
+        if (!track_outages) break;
         const auto node_it = node_of_vm.find(event.vm);
         CL_CHECK(node_it != node_of_vm.end());
         live_on_node[node_it->second].erase(event.vm);
@@ -151,8 +153,10 @@ SimulationStats run_simulation(const Topology& topology, TraceStore& trace,
         const VmId id = trace.add_vm(std::move(rec));
         CL_CHECK(id == prospective_id);
         ++stats.placed;
-        live_on_node[placement->node].insert(id);
-        node_of_vm.emplace(id, placement->node);
+        if (track_outages) {
+          live_on_node[placement->node].insert(id);
+          node_of_vm.emplace(id, placement->node);
+        }
         if (req.remove != kNoEnd)
           events.push({req.remove, EventKind::kRemove, seq++, 0, id});
         break;

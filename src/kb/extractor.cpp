@@ -87,7 +87,7 @@ std::optional<SubscriptionKnowledge> extract_subscription(
     rec.pattern_confidence = static_cast<double>(votes[best]) /
                              static_cast<double>(classified);
     rec.mean_utilization = util_moments.mean();
-    rec.p95_utilization = stats::quantile(all_samples, 0.95);
+    rec.p95_utilization = stats::quantile_in_place(all_samples, 0.95);
   }
 
   // Spatial knowledge.

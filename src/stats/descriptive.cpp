@@ -42,11 +42,25 @@ double quantile_sorted(std::span<const double> sorted, double p) {
   return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
 }
 
-double quantile(std::span<const double> xs, double p) {
+double quantile_in_place(std::span<double> xs, double p) {
   CL_CHECK(!xs.empty());
+  CL_CHECK(p >= 0.0 && p <= 1.0);
+  if (xs.size() == 1) return xs[0];
+  // Same h/lo/frac as quantile_sorted: the lo-th order statistic by
+  // selection, the (lo+1)-th as the minimum of the part above it.
+  const double h = p * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(h);
+  const auto nth = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(xs.begin(), nth, xs.end());
+  if (lo + 1 >= xs.size()) return *nth;
+  const double upper = *std::min_element(nth + 1, xs.end());
+  const double frac = h - static_cast<double>(lo);
+  return *nth + frac * (upper - *nth);
+}
+
+double quantile(std::span<const double> xs, double p) {
   std::vector<double> copy(xs.begin(), xs.end());
-  std::sort(copy.begin(), copy.end());
-  return quantile_sorted(copy, p);
+  return quantile_in_place(copy, p);
 }
 
 void StreamingMoments::add(double x) {

@@ -17,8 +17,13 @@ double stddev(std::span<const double> xs);
 double coefficient_of_variation(std::span<const double> xs);
 
 /// Linear-interpolation quantile (type 7, the numpy/R default), p in [0, 1].
-/// The input need not be sorted; an internal copy is sorted.
+/// The input need not be sorted; the two order statistics it interpolates
+/// are selected from an internal copy (no full sort). The result is bit
+/// identical to quantile_sorted() over the sorted input.
 double quantile(std::span<const double> xs, double p);
+
+/// quantile() without the copy: selects in `xs`, leaving it reordered.
+double quantile_in_place(std::span<double> xs, double p);
 
 /// Quantile over data the caller has already sorted ascending (no copy).
 double quantile_sorted(std::span<const double> sorted, double p);

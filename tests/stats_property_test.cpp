@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 #include "common/rng.h"
@@ -42,6 +44,37 @@ TEST_P(QuantileProperty, EcdfInverseIsRightInverse) {
   for (double p : {0.1, 0.25, 0.5, 0.75, 0.9}) {
     // F(F^-1(p)) >= p always holds for the empirical CDF.
     EXPECT_GE(e.at(e.inverse(p)), p - 1e-9);
+  }
+}
+
+// quantile() selects its two order statistics instead of sorting; the
+// result must equal the full-sort reference bit for bit, duplicates and
+// the size-1 and p = 0 / 1 edges included.
+TEST_P(QuantileProperty, SelectionMatchesSortReferenceBitForBit) {
+  Rng rng(GetParam() + 2);
+  std::vector<std::size_t> sizes = {1, 2, 3, 4096};
+  for (int i = 0; i < 40; ++i) sizes.push_back(1 + rng.uniform_int(4096));
+  for (const std::size_t n : sizes) {
+    // A small pool of integer values forces runs of duplicates; the rest
+    // are continuous draws of either sign.
+    const double pool = static_cast<double>(1 + rng.uniform_int(n));
+    const double dup_share = rng.uniform();
+    std::vector<double> xs(n);
+    for (auto& x : xs)
+      x = rng.uniform() < dup_share ? std::floor(rng.uniform(0.0, pool))
+                                    : rng.normal(0.0, 3.0);
+    std::vector<double> sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double p : {0.0, 0.05, 0.25, 0.5, 0.95, 1.0}) {
+      const double want = quantile_sorted(sorted, p);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(quantile(xs, p)),
+                std::bit_cast<std::uint64_t>(want))
+          << "n=" << n << " p=" << p;
+      std::vector<double> reordered = xs;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(quantile_in_place(reordered, p)),
+                std::bit_cast<std::uint64_t>(want))
+          << "in place, n=" << n << " p=" << p;
+    }
   }
 }
 

@@ -9,7 +9,8 @@
 #      them.
 #   3. UBSan          — address+undefined (incl. float-cast-overflow);
 #      runs the kernel + stats suites, policing the SIMD kernel tier's
-#      integer/float conversions and intrinsic shims.
+#      integer/float conversions and intrinsic shims, and the allocator,
+#      simulator, failure-injection and descriptive-stats suites.
 #
 # The Release and TSan flavours run the kernel differential/dispatch/
 # property suites twice — CLOUDLENS_KERNELS=scalar and =auto — so both
@@ -158,9 +159,10 @@ echo "== [tsan] out-of-core shard smoke =="
 require_json "$BUILD_ROOT/BENCH_outofcore_tsan_smoke.json"
 
 # UBSan flavour (address+undefined plus float-cast-overflow): polices the
-# kernel tier's u64→f64 conversions and intrinsic shims. Builds the full
-# tree but runs only the kernel + stats suites — the full ctest pass under
-# ASan is covered well enough by the two flavours above.
+# kernel tier's u64→f64 conversions and intrinsic shims, plus the allocator
+# scan tables and simulator bookkeeping. Builds the full tree but runs only
+# the kernel, stats, allocator and simulator suites — the full ctest pass
+# under ASan is covered well enough by the two flavours above.
 ubsan_dir="$BUILD_ROOT/ubsan"
 echo "== [tsan] population shard smoke =="
 # Small record-sharded end-to-end pass under TSan: polices the population
@@ -177,9 +179,9 @@ cmake -S "$ROOT" -B "$ubsan_dir" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCLOUDLENS_SANITIZE=address >/dev/null
 echo "== [ubsan] build (-j$JOBS) =="
 cmake --build "$ubsan_dir" -j "$JOBS"
-echo "== [ubsan] kernel + stats suites =="
+echo "== [ubsan] kernel + stats + allocator + simulator suites =="
 ctest --test-dir "$ubsan_dir" --output-on-failure \
-    -R 'Kernel|StatsProperty|QuantileProperty|Correlation|Fft|Periodicity'
+    -R 'Kernel|StatsProperty|QuantileProperty|Correlation|Fft|Periodicity|Allocator|Simulator|FailureInjection|Descriptive'
 
 echo "== [release] telemetry perf smoke =="
 "$BUILD_ROOT/release/bench/bench_telemetry" \
