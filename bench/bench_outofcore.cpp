@@ -1,78 +1,69 @@
-// Out-of-core sharded-telemetry bench: bounded-RSS streaming analyses.
+// Telemetry storage bench: the resident demand-filled panel against
+// scratch re-evaluation, on the full user-visible output set.
 //
-// Demonstrates that the sharded + mmap'd telemetry path runs the heavy
-// panel consumers (Fig. 6 utilization bands, Fig. 5 pattern shares,
-// Fig. 7 node/VM correlations, kb extraction) on a workload whose
-// resident panel would not fit the memory budget — with a peak RSS under
-// a hard cap and results bit-identical to the in-memory path.
+// A telemetry row is a pure function of its VmRecord, so there are two
+// ways to serve one: the resident TelemetryPanel, whose rows fill on
+// first read and stay, or per-task scratch buffers re-evaluated on every
+// read (panel disabled — also what record-sharded runs use). This bench
+// runs the characterization report, every figure CSV and the knowledge
+// base in both modes at 1 and 8 threads:
 //
-// Phases (each with its own VmHWM window — Linux lets us reset the
-// kernel's RSS high-water mark via /proc/self/clear_refs between phases):
+//   scratch@1   — panel disabled, serial: the byte-identity oracle;
+//   scratch@8   — panel disabled, 8 worker threads;
+//   resident@1  — panel enabled, serial (suite time includes the fills);
+//   resident@8  — panel enabled, 8 worker threads.
 //
-//   spill       — build the shard store: fill + write K shard snapshots,
-//                 one shard in memory at a time;
-//   streamed@1  — the analysis suite over mmap'd shards, serial;
-//   streamed@N  — same, 8 worker threads (checksum must not move);
-//   fallback    — sharding off, panel off: the scratch recompute path,
-//                 the bit-identity oracle for the streamed checksums;
-//   resident    — optional (--resident=1): the suite over the resident
-//                 panel, whose rows fill on first read (the suite time
-//                 includes the fills), for the wall-clock and memory
-//                 comparison.
+// The scenario is generated once, serially, and each phase runs in a
+// forked child of that process, so every phase starts from the same
+// state and gets its own peak-RSS window: a forked child's VmHWM starts at
+// the RSS it inherits, so the child's peak is the trace plus that phase.
+// (Serial generation keeps the parent free of pool threads before fork;
+// outputs are bit-identical at any thread count.)
 //
-// Gates (ShapeChecks): streamed checksums at both thread counts equal the
-// fallback checksum exactly; streamed VmHWM stays under --rss-limit-mib;
-// the resident panel estimate exceeds the cap by at least 2x (i.e. the
-// out-of-core machinery was actually load-bearing, not idle); shards were
-// really paged in and evicted. Emits BENCH_outofcore.json.
+// Gates (ShapeChecks): every phase's report+figures+kb FNV equals the
+// scratch@1 oracle; the scratch phases stay under --rss-limit-mib; the
+// resident phases really filled panel rows and the scratch phases filled
+// none. Emits BENCH_outofcore.json, including the host (nproc, kernel
+// tier, --commit).
 //
-// Usage: bench_outofcore [--scale=F] [--seed=N] [--shards=K]
-//                        [--budget-mib=N] [--rss-limit-mib=N]
-//                        [--rss-gate=0|1] [--resident=0|1] [--out=PATH]
+// Usage: bench_outofcore [--scale=F] [--seed=N] [--rss-limit-mib=N]
+//                        [--rss-gate=0|1] [--commit=SHA] [--out=PATH]
 //
-// --rss-gate=0 drops the two RSS expectations (the <= cap check and the
-// resident-estimate >= 2x cap check) while keeping the checksum and
-// paging gates — for sanitizer flavours, where shadow memory makes RSS
+// --rss-gate=0 drops the RSS cap while keeping the checksum and fill
+// gates — for sanitizer flavours, where shadow memory makes RSS
 // meaningless but the bit-identity contract still must hold.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
+#include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <thread>
 
-#include "analysis/classifier.h"
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/wait.h>
+#include <unistd.h>
+#endif
+
 #include "analysis/context.h"
-#include "analysis/spatial.h"
-#include "analysis/utilization.h"
+#include "analysis/figures.h"
+#include "analysis/report.h"
 #include "bench_common.h"
-#include "cloudsim/shard.h"
 #include "cloudsim/telemetry_panel.h"
 #include "common/table.h"
 #include "kb/extractor.h"
 #include "kb/store.h"
-#include "obs/metrics.h"
+#include "stats/kernels/dispatch.h"
 
 using namespace cloudlens;
 
 namespace {
 
-/// FNV-1a over the suite's output values: any single changed bit in any
-/// figure series changes the digest.
+/// FNV-1a over the suite's rendered bytes: any single changed byte in the
+/// report, any figure CSV, or the kb CSV changes the digest.
 class Fnv64 {
  public:
-  void f64(double v) {
-    std::uint64_t bits;
-    static_assert(sizeof bits == sizeof v);
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xFF;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
   void bytes(const std::string& s) {
     for (const char c : s) {
       h_ ^= static_cast<unsigned char>(c);
@@ -80,39 +71,45 @@ class Fnv64 {
     }
     u64(s.size());
   }
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xFF;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
   std::uint64_t digest() const { return h_; }
 
  private:
   std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
-/// The streaming-analysis suite: every consumer the tentpole converted,
-/// digested into one checksum. Identical bits => identical digest.
+/// The full user-visible output set, digested: characterization report
+/// markdown, every figure CSV (name + bytes, in emission order), and the
+/// knowledge-base CSV. Identical bytes => identical digest.
 std::uint64_t suite_checksum(const TraceStore& trace,
                              const ParallelConfig& parallel) {
   const AnalysisContext ctx(trace, parallel);
   Fnv64 h;
-  for (const CloudType cloud : {CloudType::kPrivate, CloudType::kPublic}) {
-    const auto shares = analysis::classify_population(ctx, cloud, 400);
-    h.u64(shares.classified);
-    h.f64(shares.diurnal);
-    h.f64(shares.stable);
-    h.f64(shares.irregular);
-    h.f64(shares.hourly_peak);
 
-    const auto bands = analysis::utilization_distribution(ctx, cloud, 400);
-    h.u64(bands.vms_used);
-    for (const auto* series :
-         {&bands.weekly.p25, &bands.weekly.p50, &bands.weekly.p75,
-          &bands.weekly.p95, &bands.daily_p25, &bands.daily_p50,
-          &bands.daily_p75, &bands.daily_p95}) {
-      for (const double v : *series) h.f64(v);
-    }
-  }
-  const auto node_rs =
-      analysis::node_vm_correlations(ctx, CloudType::kPrivate, 150);
-  h.u64(node_rs.size());
-  for (const double r : node_rs) h.f64(r);
+  std::ostringstream report;
+  analysis::write_characterization_report(ctx, report);
+  h.bytes(report.str());
+
+  std::ostringstream figure;
+  std::string figure_name;
+  const auto flush_figure = [&] {
+    if (figure_name.empty()) return;
+    h.bytes(figure_name);
+    h.bytes(figure.str());
+  };
+  analysis::write_figure_csvs(ctx, [&](const std::string& name) -> std::ostream& {
+    flush_figure();
+    figure_name = name;
+    figure.str("");
+    figure.clear();
+    return figure;
+  });
+  flush_figure();
 
   kb::ExtractorOptions kb_options;
   kb_options.max_classified_vms = 4;
@@ -121,8 +118,7 @@ std::uint64_t suite_checksum(const TraceStore& trace,
   return h.digest();
 }
 
-/// Peak RSS (VmHWM) in MiB from /proc — unlike ru_maxrss this can be
-/// reset per phase via /proc/self/clear_refs.
+/// Peak RSS (VmHWM) in MiB from /proc, falling back to ru_maxrss.
 double vm_hwm_mib() {
 #if defined(__linux__)
   std::ifstream in("/proc/self/status");
@@ -135,232 +131,177 @@ double vm_hwm_mib() {
   return bench::peak_rss_mib();
 }
 
-/// Resets the kernel's RSS high-water mark so the next vm_hwm_mib() call
-/// reports the peak of this phase only. Returns false when unsupported.
-bool reset_peak_rss() {
-#if defined(__linux__)
-  std::ofstream out("/proc/self/clear_refs");
-  if (!out.good()) return false;
-  out << "5";
-  out.flush();
-  return out.good();
-#else
-  return false;
-#endif
+/// What one phase measured. Trivially copyable: it crosses a pipe.
+struct PhaseResult {
+  double wall_ms = 0;
+  double peak_rss_mib = 0;
+  std::uint64_t checksum = 0;
+  std::uint64_t rows_filled = 0;
+  double panel_mib = 0;
+  bool ok = false;
+};
+
+PhaseResult measure_phase(TraceStore& trace, bool panel,
+                          std::size_t threads) {
+  trace.set_telemetry_panel_enabled(panel);
+  PhaseResult r;
+  const auto start = std::chrono::steady_clock::now();
+  r.checksum = suite_checksum(trace, ParallelConfig::with_threads(threads));
+  r.wall_ms = std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - start)
+                  .count();
+  r.peak_rss_mib = vm_hwm_mib();
+  if (const TelemetryPanel* p = trace.telemetry_panel()) {
+    r.rows_filled = p->rows_filled();
+    r.panel_mib = static_cast<double>(p->memory_bytes()) / (1024.0 * 1024.0);
+  }
+  r.ok = true;
+  return r;
 }
 
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
+/// Runs measure_phase in a forked child (its own RSS window, the parent's
+/// trace untouched); in-process where fork is unavailable.
+PhaseResult run_phase(TraceStore& trace, bool panel, std::size_t threads) {
+#if defined(__unix__) || defined(__APPLE__)
+  int fds[2];
+  if (pipe(fds) == 0) {
+    std::fflush(stdout);
+    const pid_t pid = fork();
+    if (pid == 0) {
+      close(fds[0]);
+      const PhaseResult r = measure_phase(trace, panel, threads);
+      const bool sent = write(fds[1], &r, sizeof r) ==
+                        static_cast<ssize_t>(sizeof r);
+      _exit(sent ? 0 : 1);
+    }
+    close(fds[1]);
+    PhaseResult r;
+    const bool got =
+        pid > 0 && read(fds[0], &r, sizeof r) == static_cast<ssize_t>(sizeof r);
+    close(fds[0]);
+    int status = 0;
+    if (pid > 0) waitpid(pid, &status, 0);
+    if (!got || !WIFEXITED(status) || WEXITSTATUS(status) != 0)
+      return PhaseResult{};
+    return r;
+  }
+#endif
+  return measure_phase(trace, panel, threads);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   auto args = bench::parse_args(argc, argv);
-  args.scale = 1.0;  // the point is a panel that should NOT sit resident
-  std::uint32_t shards = 32;
-  std::size_t budget_mib = 64;
+  args.scale = 1.0;
   double rss_limit_mib = 256.0;
   bool rss_gate = true;
-  bool resident = false;
+  std::string commit = "unknown";
   std::string out_path = "BENCH_outofcore.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--scale=", 8) == 0)
       args.scale = std::atof(argv[i] + 8);
-    else if (std::strncmp(argv[i], "--shards=", 9) == 0)
-      shards = static_cast<std::uint32_t>(std::atoi(argv[i] + 9));
-    else if (std::strncmp(argv[i], "--budget-mib=", 13) == 0)
-      budget_mib = static_cast<std::size_t>(std::atoll(argv[i] + 13));
     else if (std::strncmp(argv[i], "--rss-limit-mib=", 16) == 0)
       rss_limit_mib = std::atof(argv[i] + 16);
     else if (std::strncmp(argv[i], "--rss-gate=", 11) == 0)
       rss_gate = std::atoi(argv[i] + 11) != 0;
-    else if (std::strncmp(argv[i], "--resident=", 11) == 0)
-      resident = std::atoi(argv[i] + 11) != 0;
+    else if (std::strncmp(argv[i], "--commit=", 9) == 0)
+      commit = argv[i] + 9;
     else if (std::strncmp(argv[i], "--out=", 6) == 0)
       out_path = argv[i] + 6;
   }
 
-  obs::MetricsRegistry::global().set_enabled(true);
-
-  auto scenario = bench::make_bench_scenario(args);
+  workloads::ScenarioOptions options;
+  options.scale = args.scale;
+  options.seed = args.seed;
+  options.parallel = ParallelConfig::with_threads(1);
+  std::printf("generating dual-cloud scenario (scale=%.2f seed=%llu)...\n",
+              args.scale, static_cast<unsigned long long>(args.seed));
+  auto scenario = workloads::make_scenario(options);
   TraceStore& trace = *scenario.trace;
-  const TimeGrid& grid = trace.telemetry_grid();
-  const std::size_t vms = trace.vms().size();
-
-  // What a fully materialized panel WOULD cost (the matrix the shards
-  // spill), computed arithmetically: full-resolution rows plus the hourly
-  // companion view, 8 bytes a sample, one row per VM.
-  const std::size_t hourly_count =
-      grid.step > 0 && kHour % grid.step == 0
-          ? grid.count / static_cast<std::size_t>(kHour / grid.step)
-          : 0;
-  const double resident_panel_mib =
-      static_cast<double>(vms) *
-      static_cast<double>(grid.count + hourly_count) * 8.0 /
-      (1024.0 * 1024.0);
-  std::printf("  %zu VMs x %zu ticks: a full panel would need %.0f MiB\n",
-              vms, grid.count, resident_panel_mib);
+  const std::size_t vms = trace.vm_count();
+  const double base_rss = vm_hwm_mib();
+  std::printf("  %zu VMs; generation peak RSS %.1f MiB\n", vms, base_rss);
 
   bench::BenchJson json("outofcore");
   json.meta()
       .num("scale", args.scale)
       .num("seed", static_cast<double>(args.seed))
       .num("vms", static_cast<double>(vms))
-      .num("shards", shards)
-      .num("budget_mib", static_cast<double>(budget_mib))
       .num("rss_limit_mib", rss_limit_mib)
-      .num("resident_panel_mib", resident_panel_mib);
+      .num("nproc", static_cast<double>(std::thread::hardware_concurrency()))
+      .str("kernel_tier",
+           std::string(stats::kernels::to_string(stats::kernels::active().tier)))
+      .str("commit", commit);
 
-  bench::banner("Spill: shard the panel to disk, one shard at a time");
-  const std::string spill_dir =
-      (std::filesystem::temp_directory_path() /
-       ("cloudlens-outofcore-" + std::to_string(args.seed)))
-          .string();
-  TelemetryShardingOptions sharding;
-  sharding.shards = shards;
-  sharding.budget_bytes = budget_mib << 20;
-  sharding.spill_dir = spill_dir;
-  sharding.keep_files = false;
-  auto spill_start = std::chrono::steady_clock::now();
-  trace.set_telemetry_sharding(sharding);
-  const TelemetryShardStore* store = trace.telemetry_shards();
-  const double spill_ms = ms_since(spill_start);
-  const double spill_mib =
-      static_cast<double>(store->spill_bytes()) / (1024.0 * 1024.0);
-  std::printf("  %u shards, %.0f MiB spilled in %.1f ms\n", shards, spill_mib,
-              spill_ms);
-  json.record("spill")
-      .num("wall_ms", spill_ms)
-      .num("spill_mib", spill_mib)
-      .num("shard_files", shards);
-
-  const bool rss_windows = reset_peak_rss();
-  if (!rss_windows)
-    std::printf("  note: VmHWM reset unavailable; RSS figures are "
-                "whole-process peaks\n");
-
-  bench::banner("Streamed analyses over mmap'd shards (1 thread)");
-  auto t1_start = std::chrono::steady_clock::now();
-  const std::uint64_t sum_1t =
-      suite_checksum(trace, ParallelConfig::with_threads(1));
-  const double streamed_1t_ms = ms_since(t1_start);
-  const double streamed_1t_rss = vm_hwm_mib();
-  std::printf("  %.1f ms, peak RSS %.1f MiB, checksum %016llx\n",
-              streamed_1t_ms, streamed_1t_rss,
-              static_cast<unsigned long long>(sum_1t));
-  json.record("streamed_1t")
-      .num("wall_ms", streamed_1t_ms)
-      .num("peak_rss_mib", streamed_1t_rss);
-
-  reset_peak_rss();
-  bench::banner("Streamed analyses over mmap'd shards (8 threads)");
-  auto t8_start = std::chrono::steady_clock::now();
-  const std::uint64_t sum_8t =
-      suite_checksum(trace, ParallelConfig::with_threads(8));
-  const double streamed_8t_ms = ms_since(t8_start);
-  const double streamed_8t_rss = vm_hwm_mib();
-  std::printf("  %.1f ms, peak RSS %.1f MiB, checksum %016llx\n",
-              streamed_8t_ms, streamed_8t_rss,
-              static_cast<unsigned long long>(sum_8t));
-  json.record("streamed_8t")
-      .num("wall_ms", streamed_8t_ms)
-      .num("peak_rss_mib", streamed_8t_rss);
-
-  const auto metrics = obs::MetricsRegistry::global().snapshot();
-  const std::uint64_t page_ins = metrics.counter("panel.shard_page_ins");
-  const std::uint64_t evictions = metrics.counter("panel.shard_evictions");
-  const std::uint64_t row_reads = metrics.counter("panel.shard_row_reads");
-  json.record("paging")
-      .num("page_ins", static_cast<double>(page_ins))
-      .num("evictions", static_cast<double>(evictions))
-      .num("row_reads", static_cast<double>(row_reads));
-
-  bench::banner("Oracle: sharding off, panel off (scratch recompute)");
-  trace.clear_telemetry_sharding();
-  trace.set_telemetry_panel_enabled(false);
-  reset_peak_rss();
-  auto fb_start = std::chrono::steady_clock::now();
-  const std::uint64_t sum_fallback =
-      suite_checksum(trace, ParallelConfig::with_threads(8));
-  const double fallback_ms = ms_since(fb_start);
-  const double fallback_rss = vm_hwm_mib();
-  std::printf("  %.1f ms, peak RSS %.1f MiB, checksum %016llx\n", fallback_ms,
-              fallback_rss, static_cast<unsigned long long>(sum_fallback));
-  json.record("fallback_no_panel")
-      .num("wall_ms", fallback_ms)
-      .num("peak_rss_mib", fallback_rss);
-
-  double resident_rss = 0.0, resident_ms = 0.0;
-  if (resident) {
-    bench::banner("Comparison: resident columnar panel");
-    trace.set_telemetry_panel_enabled(true);
-    reset_peak_rss();
-    auto res_start = std::chrono::steady_clock::now();
-    // Reserves the matrices; the suite fills the rows it reads.
-    const TelemetryPanel* panel = trace.telemetry_panel();
-    const std::uint64_t sum_resident =
-        suite_checksum(trace, ParallelConfig::with_threads(8));
-    resident_ms = ms_since(res_start);
-    resident_rss = vm_hwm_mib();
-    const std::size_t rows_filled = panel ? panel->rows_filled() : 0;
-    const double panel_mib =
-        panel ? static_cast<double>(panel->memory_bytes()) / (1024.0 * 1024.0)
-              : 0.0;
-    std::printf(
-        "  suite %.1f ms filling %zu rows (%.0f MiB), peak RSS %.1f MiB, "
-        "checksum %016llx%s\n",
-        resident_ms, rows_filled, panel_mib, resident_rss,
-        static_cast<unsigned long long>(sum_resident),
-        sum_resident == sum_fallback ? "" : "  (MISMATCH)");
-    json.record("resident_panel")
-        .num("wall_ms", resident_ms)
-        .num("rows_filled", static_cast<double>(rows_filled))
-        .num("panel_mib", panel_mib)
-        .num("peak_rss_mib", resident_rss);
+  struct Phase {
+    const char* name;
+    bool panel;
+    std::size_t threads;
+    PhaseResult result;
+  };
+  Phase phases[] = {{"scratch_1t", false, 1, {}},
+                    {"scratch_8t", false, 8, {}},
+                    {"resident_1t", true, 1, {}},
+                    {"resident_8t", true, 8, {}}};
+  for (Phase& phase : phases) {
+    bench::banner(std::string("Phase ") + phase.name);
+    phase.result = run_phase(trace, phase.panel, phase.threads);
+    const PhaseResult& r = phase.result;
+    std::printf("  %.1f ms, peak RSS %.1f MiB, %llu panel rows (%.0f MiB), "
+                "checksum %016llx%s\n",
+                r.wall_ms, r.peak_rss_mib,
+                static_cast<unsigned long long>(r.rows_filled), r.panel_mib,
+                static_cast<unsigned long long>(r.checksum),
+                r.ok ? "" : "  (PHASE FAILED)");
+    json.record(phase.name)
+        .num("threads", static_cast<double>(phase.threads))
+        .num("wall_ms", r.wall_ms)
+        .num("peak_rss_mib", r.peak_rss_mib)
+        .num("rows_filled", static_cast<double>(r.rows_filled))
+        .num("panel_mib", r.panel_mib);
   }
 
   bench::banner("Summary");
-  TextTable table({"config", "wall ms", "peak RSS MiB"});
-  table.row().add("spill (build shards)").add(spill_ms, 1).add("-");
-  table.row().add("streamed @1t").add(streamed_1t_ms, 1).add(streamed_1t_rss, 1);
-  table.row().add("streamed @8t").add(streamed_8t_ms, 1).add(streamed_8t_rss, 1);
-  table.row().add("fallback (no panel)").add(fallback_ms, 1).add(fallback_rss, 1);
-  if (resident)
+  TextTable table({"config", "wall ms", "peak RSS MiB", "panel MiB"});
+  for (const Phase& phase : phases)
     table.row()
-        .add("resident panel (incl fills)")
-        .add(resident_ms, 1)
-        .add(resident_rss, 1);
+        .add(phase.name)
+        .add(phase.result.wall_ms, 1)
+        .add(phase.result.peak_rss_mib, 1)
+        .add(phase.result.panel_mib, 1);
   std::printf("%s", table.to_string().c_str());
-  std::printf("  full panel estimate: %.0f MiB; RSS cap: %.0f MiB\n",
-              resident_panel_mib, rss_limit_mib);
+  std::printf("  RSS cap on the scratch phases: %.0f MiB\n", rss_limit_mib);
   json.write(out_path);
 
   bench::banner("Shape checks");
   bench::ShapeChecks checks;
-  checks.expect(sum_1t == sum_fallback && sum_8t == sum_fallback,
-                "streamed checksums at 1 and 8 threads equal the in-memory "
-                "oracle exactly");
+  const PhaseResult& oracle = phases[0].result;
+  bool all_ok = true, same = true;
+  for (const Phase& phase : phases) {
+    all_ok = all_ok && phase.result.ok;
+    same = same && phase.result.checksum == oracle.checksum;
+  }
+  checks.expect(all_ok, "every phase ran to completion");
+  checks.expect(same,
+                "report/figure/kb checksums of every phase equal the "
+                "scratch@1 oracle exactly");
   if (rss_gate) {
     char gate[128];
     std::snprintf(gate, sizeof gate,
-                  "streamed peak RSS stays <= %.0f MiB at both thread counts",
+                  "scratch peak RSS stays <= %.0f MiB at both thread counts",
                   rss_limit_mib);
-    checks.expect(streamed_1t_rss <= rss_limit_mib &&
-                      streamed_8t_rss <= rss_limit_mib,
+    checks.expect(phases[0].result.peak_rss_mib <= rss_limit_mib &&
+                      phases[1].result.peak_rss_mib <= rss_limit_mib,
                   gate);
-    checks.expect(resident_panel_mib >= 2.0 * rss_limit_mib,
-                  "resident panel estimate is >= 2x the RSS cap (the cap is "
-                  "load-bearing)");
   } else {
-    std::printf("  (RSS gates skipped: --rss-gate=0)\n");
+    std::printf("  (RSS gate skipped: --rss-gate=0)\n");
   }
-  if (args.scale >= 1.0)
-    checks.expect(resident_panel_mib > 1536.0,
-                  "at full scale the resident panel would exceed 1.5 GiB");
-  checks.expect(page_ins > 0 && evictions > 0,
-                "shards were paged in and evicted under the budget");
+  checks.expect(phases[0].result.rows_filled == 0 &&
+                    phases[1].result.rows_filled == 0 &&
+                    phases[2].result.rows_filled > 0 &&
+                    phases[3].result.rows_filled > 0,
+                "the resident phases filled panel rows; the scratch phases "
+                "filled none");
   return checks.exit_code();
 }

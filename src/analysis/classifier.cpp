@@ -4,9 +4,7 @@
 
 #include "analysis/context.h"
 #include "analysis/record_stream.h"
-#include "analysis/shard_stream.h"
 #include "cloudsim/population.h"
-#include "cloudsim/shard.h"
 #include "cloudsim/telemetry_panel.h"
 #include "stats/descriptive.h"
 #include "stats/fft.h"
@@ -96,21 +94,8 @@ PatternShares classify_population(const AnalysisContext& ctx, CloudType cloud,
   // fan-out is thread-count-invariant; the tally below walks them in
   // candidate order.
   std::vector<UtilizationClass> labels;
-  const TelemetryShardStore* shards = trace.telemetry_shards();
-  if (shards != nullptr) {
-    // Out-of-core mode: same per-VM classify kernel, streamed shard by
-    // shard with slot-per-VM outputs — identical labels, bounded RSS.
-    labels.resize(sampled, UtilizationClass::kStable);
-    stream_by_shard(
-        *shards, sampled,
-        [&](std::size_t k) { return shards->shard_of_vm(candidates[k * stride]); },
-        [&](std::size_t k) {
-          labels[k] =
-              classify(shards->row(candidates[k * stride]), grid, options);
-        },
-        parallel);
-  } else if (const PopulationShardStore* pop = trace.population_shards();
-             pop != nullptr) {
+  if (const PopulationShardStore* pop = trace.population_shards();
+      pop != nullptr) {
     // Population-sharded mode: scratch rows (no panel exists), grouped by
     // the record shard so each pages in once — identical labels.
     labels.resize(sampled, UtilizationClass::kStable);

@@ -3,9 +3,9 @@
 // The analyses historically walked `trace.vms()` — a span over the
 // resident record vector. In population-sharded mode (cloudsim/
 // population.h) that span does not exist: records live in K spill files
-// and page in a shard at a time. These helpers express the three access
-// shapes the analyses actually use so each analysis is written once and
-// runs bounded-RSS in either mode:
+// and page in a shard at a time. These helpers express the access shapes
+// the analyses actually use so each analysis is written once and runs
+// bounded-RSS in either mode:
 //
 //   for_each_vm_group: visit every record exactly once, as one span per
 //     group (resident: a single group = the whole span; sharded: one
@@ -22,6 +22,10 @@
 //
 //   any_vm: short-circuit existence check.
 //
+//   stream_by_shard: per-item work (item i writes only slot i) grouped by
+//     the shard each item's records live in, with budget eviction at each
+//     shard boundary.
+//
 // References and spans obtained inside a group callback follow the shard
 // store's lifetime rules: valid within the callback, not across groups.
 #pragma once
@@ -33,6 +37,7 @@
 
 #include "cloudsim/population.h"
 #include "cloudsim/trace.h"
+#include "common/parallel.h"
 
 namespace cloudlens::analysis {
 
@@ -83,6 +88,33 @@ bool any_vm(const TraceStore& trace, Pred&& pred) {
     pop->evict_over_budget();
   }
   return false;
+}
+
+/// Runs item_fn(i) for every i in [0, n), grouped by shard_of_item(i), in
+/// ascending shard order: all items of shard 0 fan out over the pool, the
+/// pool drains (ThreadPool::run blocks, providing the happens-before
+/// edge), the store evicts down to its budget at that serial point, then
+/// shard 1 begins. item_fn must write only to slot i of its output (the
+/// parallel_for contract), so callers that assemble slots in item order
+/// get the same result at any thread count — identical to the resident
+/// pass, which visits the same items with the same per-item kernels.
+/// References obtained from the store are valid within the current
+/// shard's region only.
+template <typename Store, typename ShardOf, typename Fn>
+void stream_by_shard(const Store& shards, std::size_t n,
+                     ShardOf&& shard_of_item, Fn&& item_fn,
+                     const ParallelConfig& parallel) {
+  std::vector<std::vector<std::size_t>> by_shard(shards.shard_count());
+  for (std::size_t i = 0; i < n; ++i) {
+    by_shard[shard_of_item(i)].push_back(i);
+  }
+  for (std::uint32_t s = 0; s < shards.shard_count(); ++s) {
+    const std::vector<std::size_t>& items = by_shard[s];
+    if (items.empty()) continue;
+    parallel_for(
+        items.size(), [&](std::size_t j) { item_fn(items[j]); }, parallel);
+    shards.evict_over_budget();
+  }
 }
 
 }  // namespace cloudlens::analysis

@@ -4,9 +4,7 @@
 
 #include "analysis/context.h"
 #include "analysis/record_stream.h"
-#include "analysis/shard_stream.h"
 #include "cloudsim/population.h"
-#include "cloudsim/shard.h"
 #include "cloudsim/telemetry_panel.h"
 #include "common/check.h"
 #include "stats/descriptive.h"
@@ -42,24 +40,8 @@ UtilizationDistribution utilization_distribution(const AnalysisContext& ctx,
   const std::size_t factor = static_cast<std::size_t>(kHour / grid.step);
   const TimeGrid hourly_grid{grid.start, kHour, grid.count / factor};
   std::vector<stats::TimeSeries> hourly;
-  const TelemetryShardStore* shards = trace.telemetry_shards();
-  if (shards != nullptr) {
-    // Out-of-core mode: stream the roll-up shard by shard (bounded RSS).
-    // Each sampled VM still fills its own slot k, so the assembled vector
-    // is identical to the resident path, bit for bit.
-    hourly.resize(sampled);
-    stream_by_shard(
-        *shards, sampled,
-        [&](std::size_t k) { return shards->shard_of_vm(candidates[k * stride]); },
-        [&](std::size_t k) {
-          const std::span<const double> row =
-              shards->hourly_row(candidates[k * stride]);
-          hourly[k] = stats::TimeSeries(
-              hourly_grid, std::vector<double>(row.begin(), row.end()));
-        },
-        parallel);
-  } else if (const PopulationShardStore* pop = trace.population_shards();
-             pop != nullptr) {
+  if (const PopulationShardStore* pop = trace.population_shards();
+      pop != nullptr) {
     // Population-sharded mode: no panel exists, so rows come from the
     // scratch fill (identical bits). Group by the record shard so each
     // shard pages in once and evicts at the group boundary.

@@ -94,8 +94,12 @@ SimulationStats run_simulation(const Topology& topology, TraceStore& trace,
         allocator.set_node_available(node, false);
         auto it = live_on_node.find(node);
         if (it == live_on_node.end()) break;
-        // Terminate every VM alive on the node.
-        for (const VmId vm_id : it->second) {
+        // Terminate every VM alive on the node in ascending id order, so
+        // the resubmissions' ids and trace order never follow hash-bucket
+        // order.
+        std::vector<VmId> victims(it->second.begin(), it->second.end());
+        std::sort(victims.begin(), victims.end());
+        for (const VmId vm_id : victims) {
           const VmRecord& rec = trace.vm(vm_id);
           const SimTime original_end = rec.deleted;
           allocator.release(vm_id);

@@ -26,7 +26,10 @@
 // (TraceStore::set_telemetry_panel_enabled(false)) to trade that memory
 // back for recomputation — every consumer falls back to on-demand row
 // evaluation through the *same* fill kernel, so results are identical
-// either way, bit for bit.
+// either way, bit for bit. That scratch path is also the only telemetry
+// path of population-sharded traces (cloudsim/population.h): telemetry
+// itself is never spilled, since every row can be re-evaluated from its
+// VmRecord.
 //
 // Consumers ask the trace for the panel once, up front (serially, before
 // any parallel fan-out), then pull contiguous std::span<const double> rows

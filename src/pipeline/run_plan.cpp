@@ -3,7 +3,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <sstream>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -12,7 +11,6 @@
 
 #include "analysis/context.h"
 #include "cloudsim/population.h"
-#include "cloudsim/shard.h"
 #include "cloudsim/snapshot.h"
 #include "common/check.h"
 #include "ingest/backend.h"
@@ -22,11 +20,6 @@
 
 namespace cloudlens::pipeline {
 namespace {
-
-/// The shards stage's artifact: a view into the TraceStore's shard store.
-struct ShardArtifact {
-  const TelemetryShardStore* shards = nullptr;
-};
 
 /// The pop-shards stage's artifact: a view into the TraceStore's
 /// population shard store.
@@ -189,7 +182,7 @@ std::string shard_spill_dir(bool cache_enabled, const std::string& cache_dir,
       .string();
 }
 
-///// Streaming spill options for record-sharded runs with caching off: the
+/// Streaming spill options for record-sharded runs with caching off: the
 /// records route straight to shard logs in a per-process temp dir during
 /// generation/import, and the files are removed with the store.
 PopulationShardingOptions streaming_population_options(
@@ -203,46 +196,8 @@ PopulationShardingOptions streaming_population_options(
   return po;
 }
 
-/// The out-of-core telemetry stage. Uncacheable as a
-///// pipeline artifact on purpose: the spill files themselves are the
-/// persistent form, revalidated by the router digest in their headers, so
-/// save/load would only duplicate them.
-Stage make_shards_stage(const RunPlanOptions& options,
-                        PipelineRunner* runner) {
-  Stage stage;
-  stage.name = "shards";
-  stage.inputs = {"trace"};
-  const std::uint32_t shards = options.panel_shards;
-  stage.key_extra = [shards](ContentHash& h) {
-    h.u8(1);  // key layout version for this stage
-    h.u64(shards);
-    // The residency budget never reaches the key: like thread counts, it
-    // changes how the run executes, not what the artifacts contain.
-  };
-  const bool cache_enabled =
-      options.cache_enabled && !options.cache_dir.empty();
-  const std::string cache_dir = options.cache_dir;
-  const std::size_t budget_mib = options.shard_budget_mib;
-  stage.compute = [shards, cache_enabled, cache_dir, budget_mib,
-                   runner](const StageInputs& inputs) {
-    const auto trace = inputs.get<TraceArtifact>("trace");
-    TelemetryShardingOptions so;
-    so.shards = shards;
-    so.budget_bytes = budget_mib << 20;
-    so.spill_dir = shard_spill_dir(cache_enabled, cache_dir,
-                                   runner->key_hex("trace"), "panel-shards");
-    so.keep_files = cache_enabled;
-    so.parallel = inputs.parallel();
-    trace->trace->set_telemetry_sharding(so);
-    const TelemetryShardStore* store = trace->trace->telemetry_shards();
-    CL_CHECK_MSG(store != nullptr, "shards stage failed to build the store");
-    return std::make_shared<ShardArtifact>(ShardArtifact{store});
-  };
-  return stage;
-}
-
-/// The out-of-core population stage, keyed like the telemetry shards
-/// stage: only K reaches the key; the budget is execution environment.
+/// The out-of-core population stage: only K reaches the key; the budget
+/// is execution environment.
 /// Uncacheable as a pipeline artifact on purpose — the spill files are
 /// the persistent form, revalidated against the population router digest
 /// in their headers on warm adoption. When the trace stage already
@@ -339,55 +294,21 @@ ResolvedRun run_trace_plan(const RunPlanOptions& options) {
   PipelineRunner runner(
       ArtifactCache(options.cache_dir, options.cache_enabled),
       options.parallel, options.metrics, options.sink);
-  const bool sharded = options.panel_shards > 0;
   const bool record_sharded = options.record_shards > 0;
-  CL_CHECK_MSG(!(sharded && record_sharded),
-               "panel sharding and record sharding are mutually exclusive "
-               "(population mode already streams rows on demand)");
   runner.add(make_trace_stage(options));
-  if (record_sharded) {
-    runner.add(make_population_stage(options, &runner));
-  } else if (sharded) {
-    runner.add(make_shards_stage(options, &runner));
-  }
+  if (record_sharded) runner.add(make_population_stage(options, &runner));
   if (options.want_kb) runner.add(make_kb_stage(options));
 
   ResolvedRun run;
   run.trace = runner.resolve_as<TraceArtifact>("trace");
-  // Out-of-core modes replace the resident panel: their stage must
+  // The out-of-core mode replaces the resident records: its stage must
   // resolve before kb so extraction streams over the spill files.
-  if (record_sharded) {
-    runner.resolve("pop-shards");
-  } else if (sharded) {
-    runner.resolve("shards");
-  }
+  if (record_sharded) runner.resolve("pop-shards");
   if (options.want_kb) {
     run.knowledge = runner.resolve_as<kb::KnowledgeBase>("kb");
   }
   run.reports = runner.reports();
   return run;
-}
-
-std::size_t resolve_shard_budget_mib(bool shard_flag_given,
-                                     std::size_t shard_budget_mib,
-                                     bool panel_flag_given,
-                                     std::size_t panel_budget_mib,
-                                     std::ostream& warnings,
-                                     std::size_t fallback) {
-  if (shard_flag_given) {
-    if (panel_flag_given && panel_budget_mib != shard_budget_mib) {
-      warnings << "warning: --panel-budget-mib is ignored when "
-                  "--shard-budget-mib is given\n";
-    }
-    return shard_budget_mib;
-  }
-  if (panel_flag_given) {
-    warnings << "warning: --panel-budget-mib is deprecated; use "
-                "--shard-budget-mib (it budgets both --panel-shards and "
-                "--record-shards)\n";
-    return panel_budget_mib;
-  }
-  return fallback;
 }
 
 }  // namespace cloudlens::pipeline

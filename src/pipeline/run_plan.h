@@ -23,7 +23,8 @@
 // The telemetry panel is not a stage: it reserves its matrices on first
 // use and fills only the rows the analyses read (cloudsim/
 // telemetry_panel.h), which costs less than loading a cached full matrix.
-// The out-of-core modes add a "shards" or "pop-shards" stage instead.
+// The out-of-core mode (record_shards) adds a "pop-shards" stage; its
+// telemetry rows are re-evaluated into scratch, never spilled.
 #pragma once
 
 #include <memory>
@@ -64,27 +65,20 @@ struct RunPlanOptions {
   /// Deprecated; has no effect. There is no panel stage any more: the
   /// telemetry panel fills rows on demand inside the analyses.
   bool want_panel = true;
-  /// Out-of-core telemetry: when > 0 a "shards" stage spills K mmap-ready
-  /// shard snapshots and puts the TraceStore into sharded mode
-  /// (telemetry_panel() stays null; the streaming analyses page shards in
-  /// under a mapped-bytes budget).
-  /// Outputs are bit-identical either way, so downstream stage keys (kb)
-  /// are unchanged; only K reaches the shards stage's key — the budget,
-  /// like thread counts, is execution environment.
-  std::uint32_t panel_shards = 0;
   /// Out-of-core VM/subscription records: when > 0 the trace runs
   /// population-sharded (cloudsim/population.h) with this many record
   /// shards. With caching enabled the trace stage stays a cached resident
   /// snapshot and a "pop-shards" stage converts it (warm-reusing spill
   /// files via the router digest); with caching disabled the records
   /// stream straight into the shards during generation/import and the
-  /// resident record vector never materializes. Mutually exclusive with
-  /// panel_shards (population mode streams rows on demand). Outputs are byte-identical either way; only K reaches the
-  /// stage key.
+  /// resident record vector never materializes. Telemetry rows are
+  /// re-evaluated into scratch (no panel). Outputs are byte-identical
+  /// either way, so downstream stage keys (kb) are unchanged; only K
+  /// reaches the stage key.
   std::uint32_t record_shards = 0;
-  /// Shared residency budget for the out-of-core stores (mapped telemetry
-  /// shards and decoded population shards), in MiB. Like thread counts it
-  /// is execution environment, never part of a cache key.
+  /// Residency budget for the decoded population shards, in MiB. Like
+  /// thread counts it is execution environment, never part of a cache
+  /// key.
   std::size_t shard_budget_mib = 256;
   /// Resolve the kb stage.
   bool want_kb = false;
@@ -100,8 +94,8 @@ struct RunPlanOptions {
   obs::TraceSink* sink = nullptr;           ///< null = process-global
 };
 
-/// The trace stage's artifact. Mutable TraceStore so the out-of-core
-/// stages can switch it into sharded mode.
+/// The trace stage's artifact. Mutable TraceStore so the pop-shards stage
+/// can switch it into population-sharded mode.
 struct TraceArtifact {
   std::unique_ptr<Topology> topology;
   std::unique_ptr<TraceStore> trace;
@@ -120,17 +114,5 @@ struct ResolvedRun {
 /// Build the stage graph for `options`, resolve the requested artifacts,
 /// and return them with the per-stage reports.
 ResolvedRun run_trace_plan(const RunPlanOptions& options);
-
-/// CLI flag-compat shim: `--shard-budget-mib` is the shared residency
-/// budget for both out-of-core stores; `--panel-budget-mib` is its
-/// deprecated warning-emitting alias. Returns the effective budget —
-/// the new flag when given (the alias is then ignored, with a warning),
-/// else the alias value (with a deprecation warning), else `fallback`.
-std::size_t resolve_shard_budget_mib(bool shard_flag_given,
-                                     std::size_t shard_budget_mib,
-                                     bool panel_flag_given,
-                                     std::size_t panel_budget_mib,
-                                     std::ostream& warnings,
-                                     std::size_t fallback = 256);
 
 }  // namespace cloudlens::pipeline

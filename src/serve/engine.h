@@ -29,7 +29,7 @@
 // immutable TraceStore *shell* under that mutex — services, subscriptions
 // and a valid-ticks clamp — around a shared frozen record array, publish
 // it as a shared_ptr snapshot, and run the actual analyses outside any
-// engine lock — the release-store view-publication idiom the telemetry
+// engine lock — the release-store view-publication idiom the population
 // shard store uses, applied at the engine level. The record array is
 // never deep-copied per epoch: records are frozen once per population
 // generation (create/del/first-sample/roll events) and adopted by every

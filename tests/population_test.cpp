@@ -1,4 +1,5 @@
-// Out-of-core population shard store tests: conversion round-trips the
+// Out-of-core population shard store tests: the subscription router is a
+// pure function of (subscription, K), conversion round-trips the
 // records/subscriptions/indices bit-for-bit, the streaming build path
 // (generator-order appends) produces the same router digest as
 // conversion, budget-driven eviction, warm spill-file reuse, the
@@ -53,6 +54,30 @@ class TempSpillDir {
  private:
   std::string path_;
 };
+
+TEST(ShardRouter, IsAPureFunctionOfSubscriptionAndK) {
+  for (std::uint32_t k : {1u, 2u, 7u, 16u, 101u}) {
+    for (std::uint64_t raw : {0ull, 1ull, 42ull, 65535ull, 123456789ull}) {
+      const SubscriptionId sub(
+          static_cast<SubscriptionId::underlying>(raw));
+      const std::uint32_t s = shard_of_subscription(sub, k);
+      EXPECT_LT(s, k);
+      EXPECT_EQ(s, shard_of_subscription(sub, k));  // stable
+    }
+  }
+  // K=1 degenerates to a single shard.
+  EXPECT_EQ(shard_of_subscription(SubscriptionId(7), 1), 0u);
+  // Distinct subscriptions spread over shards (not all colliding).
+  std::vector<bool> hit(16, false);
+  for (std::uint64_t raw = 0; raw < 256; ++raw) {
+    hit[shard_of_subscription(
+        SubscriptionId(static_cast<SubscriptionId::underlying>(raw)), 16)] =
+        true;
+  }
+  std::size_t used = 0;
+  for (bool h : hit) used += h ? 1 : 0;
+  EXPECT_GT(used, 8u);
+}
 
 PopulationShardingOptions spill_options(const std::string& dir,
                                         std::uint32_t shards) {

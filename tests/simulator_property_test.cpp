@@ -2,6 +2,7 @@
 // workload streams.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <unordered_map>
 
 #include "cloudsim/simulator.h"
@@ -16,6 +17,13 @@ struct StreamParams {
   int requests;
   double max_cores;
 };
+
+// Prints the fields, not gtest's default raw-byte dump (which includes
+// the struct's padding and so differs between builds).
+void PrintTo(const StreamParams& p, std::ostream* os) {
+  *os << "seed " << p.seed << ", " << p.requests << " requests, max "
+      << p.max_cores << " cores";
+}
 
 class SimulatorPropertyTest
     : public ::testing::TestWithParam<StreamParams> {};

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <string>
 
 #include "common/check.h"
@@ -138,6 +139,47 @@ TEST_F(SimulatorTest, StatsAcrossTwoRuns) {
   EXPECT_EQ(fx_.trace.vms()[1].cloud, CloudType::kPublic);
 }
 
+TEST_F(SimulatorTest, OutageResubmitsInAscendingVmIdOrder) {
+  // 64 one-core VMs over 8 nodes, so some node hosts >= 8 of them. Each
+  // VM's end time is unique and falls with its id, so every resubmission
+  // names the VM it replaces by its `deleted` time.
+  constexpr int kVms = 64;
+  const auto end_of = [](int i) { return 10 * kHour - i * kMinute; };
+  std::vector<DeploymentRequest> reqs;
+  for (int i = 0; i < kVms; ++i)
+    reqs.push_back(make_request(fx_.private_sub, CloudType::kPrivate,
+                                i * kMinute, end_of(i), 1));
+
+  test::TraceFixture probe(topo_);
+  run_simulation(topo_, probe.trace, reqs);
+  ASSERT_EQ(probe.trace.vm_count(), static_cast<std::size_t>(kVms));
+  std::map<NodeId, int> hosted;
+  for (const VmRecord& vm : probe.trace.vms()) ++hosted[vm.node];
+  const auto busiest = std::max_element(
+      hosted.begin(), hosted.end(),
+      [](const auto& a, const auto& b) { return a.second < b.second; });
+  ASSERT_GE(busiest->second, 8);
+
+  const SimTime outage_at = 2 * kHour;
+  FailurePolicy policy;
+  policy.resubmit = true;
+  const auto stats = run_simulation(topo_, fx_.trace, reqs, {},
+                                    {NodeOutage{busiest->first, outage_at}},
+                                    policy);
+  ASSERT_EQ(stats.vms_failed, static_cast<std::size_t>(busiest->second));
+  ASSERT_EQ(stats.vms_resubmitted, stats.vms_failed);
+
+  std::vector<SimTime> killed_ends;  // ascending VM id
+  for (int i = 0; i < kVms; ++i) {
+    if (fx_.trace.vms()[i].deleted == outage_at)
+      killed_ends.push_back(end_of(i));
+  }
+  std::vector<SimTime> resubmit_ends;  // trace order
+  for (std::size_t i = kVms; i < fx_.trace.vm_count(); ++i)
+    resubmit_ends.push_back(fx_.trace.vms()[i].deleted);
+  EXPECT_EQ(resubmit_ends, killed_ends);
+}
+
 // ---------------------------------------------------------------------------
 // Pinned placement digests: an FNV-1a 64 hash over every VM's (node, rack,
 // cluster, created, deleted) in trace order. The pinned values are the
@@ -259,7 +301,8 @@ TEST(SimulatorPlacementDigest, OutageStreamWithResubmission) {
   PlacementDigest digest;
   digest.add(trace);
   digest.add(stats);
-  EXPECT_EQ(digest.hex(), "afa8bc48b711bb81");
+  // Outage victims are killed and resubmitted in ascending VmId order.
+  EXPECT_EQ(digest.hex(), "2b0ec08a5bbafd0d");
 }
 
 }  // namespace

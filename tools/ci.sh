@@ -1,7 +1,10 @@
 #!/bin/sh
 # Local CI: the build flavours that gate a change to cloudlens.
 #
-#   1. Release        — optimized build, full ctest suite.
+#   1. Release        — optimized build, full ctest suite (including the
+#      17 paper-shape benches, label paper_shape: every fig*, ablation_*,
+#      policy_* and pilot_region_shift bench at --scale=0.35 --seed=42,
+#      failing on any EXPERIMENTS.md shape check).
 #   2. ThreadSanitizer — same suite under TSan; this is the build that
 #      polices the deterministic parallel engine (common/parallel.*),
 #      every parallel call site, and the telemetry panel's concurrent
@@ -35,9 +38,10 @@
 # kernel outputs and the rendered report must match the scalar oracle
 # bit-for-bit), a bench_pipeline run that fails unless a warm artifact
 # cache reproduces the cold run byte-for-byte and is faster, and a
-# bench_outofcore run that fails unless the sharded streaming analyses
-# stay under a peak-RSS budget while matching the resident-panel
-# checksum exactly, plus a bench_ingest decode smoke (parallel CSV
+# bench_outofcore run that fails unless the resident-panel and scratch
+# (panel disabled) telemetry paths produce byte-identical report/figure/
+# kb checksums at 1 and 8 threads with the scratch path under a peak-RSS
+# cap, plus a bench_ingest decode smoke (parallel CSV
 # decode bit-identical to serial) and an end-to-end azure import smoke
 # over the checked-in fixture (1-vs-8-thread report identity + warm
 # cache hit), and a full-scale bench_population run — the record-sharded
@@ -45,10 +49,10 @@
 # population shards must stay under a peak-RSS cap while byte-matching a
 # resident regeneration at 1 and 8 threads. Every smoke must leave its
 # JSON document behind — a bench that silently emits nothing fails the
-# run. The TSan flavour re-runs bench_outofcore and bench_population (no
-# RSS gates — shadow memory dwarfs them) to police the two shard stores'
-# concurrent map/evict paths, and bench_ingest to police the decode
-# chunk fan-out.
+# run. The TSan flavour re-runs bench_outofcore (panel row fills racing
+# across the pool) and bench_population (the record store's concurrent
+# page-in/evict path) with no RSS gates — shadow memory dwarfs them —
+# and bench_ingest to police the decode chunk fan-out.
 # (The full-size numbers recorded in EXPERIMENTS.md come from
 # `bench_telemetry --scale=0.1`, `bench_obs --scale=0.1`,
 # `bench_simd --min-speedup=1.5`, `bench_pipeline --scale=0.35`,
@@ -91,7 +95,7 @@ run_flavour() {
     # budget, failure paths, and the resident-vs-sharded byte-identity
     # contract (the TSan pass polices the concurrent shard acquire).
     ctest --test-dir "$dir" --output-on-failure \
-        -R 'Population|ShardBudgetFlag'
+        -R 'Population|ShardRouter'
     echo "== [$name] serve suites =="
     # Streaming ingest: the event-stream format pins, the engine's
     # epoch/cutoff accounting, the streamed-vs-batch byte-identity
@@ -148,13 +152,13 @@ echo "== [tsan] ingest decode smoke =="
     --out="$BUILD_ROOT/BENCH_ingest_tsan_smoke.json"
 require_json "$BUILD_ROOT/BENCH_ingest_tsan_smoke.json"
 
-echo "== [tsan] out-of-core shard smoke =="
-# Small sharded end-to-end pass under TSan: polices the shard store's
-# concurrent acquire/publish path and the streamed analyses. RSS gates
-# are off (TSan shadow memory dominates); the checksum identity and
-# paging gates are what matter.
+echo "== [tsan] telemetry storage smoke =="
+# Small resident-panel vs scratch pass under TSan: polices the panel's
+# concurrent first fills inside the full report/figures/kb suite. RSS
+# gate off (TSan shadow memory dominates); the checksum identity and
+# fill gates are what matter.
 "$BUILD_ROOT/tsan/bench/bench_outofcore" \
-    --scale=0.02 --shards=4 --budget-mib=8 --rss-gate=0 \
+    --scale=0.02 --rss-gate=0 \
     --out="$BUILD_ROOT/BENCH_outofcore_tsan_smoke.json"
 require_json "$BUILD_ROOT/BENCH_outofcore_tsan_smoke.json"
 
@@ -223,13 +227,14 @@ echo "== [release] serve streaming smoke =="
     --out="$BUILD_ROOT/BENCH_serve_smoke.json"
 require_json "$BUILD_ROOT/BENCH_serve_smoke.json"
 
-echo "== [release] out-of-core RSS budget smoke =="
-# Sharded streaming analyses at reduced scale: peak RSS must stay under
-# the budget and the FNV checksum must match the resident path at 1 and
-# 8 threads (the full-scale gate lives in `bench_outofcore --scale=1.0`,
-# recorded in BENCH_outofcore.json).
+echo "== [release] telemetry storage smoke =="
+# Resident panel vs scratch at reduced scale: every phase's report/
+# figure/kb checksum must match the scratch@1 oracle, and the scratch
+# phases must stay under the RSS cap (the full-scale numbers come from
+# `bench_outofcore --scale=1.0`, recorded in BENCH_outofcore.json).
 "$BUILD_ROOT/release/bench/bench_outofcore" \
-    --scale=0.05 --shards=8 --budget-mib=8 --rss-limit-mib=64 \
+    --scale=0.05 --rss-limit-mib=64 \
+    --commit="$(git -C "$ROOT" rev-parse HEAD 2>/dev/null || echo unknown)" \
     --out="$BUILD_ROOT/BENCH_outofcore_smoke.json"
 require_json "$BUILD_ROOT/BENCH_outofcore_smoke.json"
 
